@@ -235,6 +235,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
                 break
         if not found:
             misses.append(target)
+    misses.sort(key=lambda t: (len(t), repr(t)))
     if misses:
         return Verdict(Status.VIOLATED,
                        f"{len(misses)} client projections unreproduced; "

@@ -625,33 +625,39 @@ def _empty_eta(m: str, t: int) -> frozenset[Trace]:
     return frozenset(((),))
 
 
-def complete_trace_set(lib: Library, client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
+def _complete_threads(lib: Library, client: ClientProgram, bounds: Bounds) -> list[frozenset[Trace]]:
     eta = _method_eta(lib, bounds)
-    per_thread = [command_traces(cmd, t + 1, eta, bounds)
-                  for t, cmd in enumerate(client.threads)]
-    return _interleaved_trace_set(per_thread, bounds)
+    return [command_traces(cmd, t + 1, eta, bounds) for t, cmd in enumerate(client.threads)]
 
 
-def client_trace_set(client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
-    per_thread = [command_traces(cmd, t + 1, _empty_eta, bounds)
-                  for t, cmd in enumerate(client.threads)]
-    return _interleaved_trace_set(per_thread, bounds)
+def _client_threads(client: ClientProgram, bounds: Bounds) -> list[frozenset[Trace]]:
+    return [command_traces(cmd, t + 1, _empty_eta, bounds) for t, cmd in enumerate(client.threads)]
 
 
-def library_trace_set(lib: Library, bounds: Bounds) -> frozenset[Trace]:
+def _library_threads(lib: Library, bounds: Bounds) -> list[frozenset[Trace]]:
     """Most general client: each of N threads loops over arbitrary methods."""
-    eta = _method_eta(lib, bounds)
     names = lib.method_names
     if not names:
-        return frozenset(((),))
+        return []
+    eta = _method_eta(lib, bounds)
     mgc = Star(choice(*(CallMethod(m) for m in names)))
     mgc_bounds = Bounds(star_unroll=bounds.mgc_iters,
                         mgc_iters=bounds.mgc_iters,
                         mgc_threads=bounds.mgc_threads,
                         max_trace_len=bounds.max_trace_len)
-    per_thread = [command_traces(mgc, t, eta, mgc_bounds)
-                  for t in range(1, bounds.mgc_threads + 1)]
-    return _interleaved_trace_set(per_thread, bounds)
+    return [command_traces(mgc, t, eta, mgc_bounds) for t in range(1, bounds.mgc_threads + 1)]
+
+
+def complete_trace_set(lib: Library, client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
+    return _interleaved_trace_set(_complete_threads(lib, client, bounds), bounds)
+
+
+def client_trace_set(client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
+    return _interleaved_trace_set(_client_threads(client, bounds), bounds)
+
+
+def library_trace_set(lib: Library, bounds: Bounds) -> frozenset[Trace]:
+    return _interleaved_trace_set(_library_threads(lib, bounds), bounds)
 
 
 def trace_set(program: Program, bounds: Bounds | None = None) -> frozenset[Trace]:

@@ -28,7 +28,6 @@ from .history import (
     InterfaceSet,
     Kind,
     interface_set,
-    is_balanced,
 )
 from .lang import (
     Bounds,
@@ -42,12 +41,11 @@ from .lang import (
     TOP,
     Trace,
     _Trie,
-    client_trace_set,
-    command_traces,
-    complete_trace_set,
+    _client_threads,
+    _complete_threads,
+    _library_threads,
     is_call,
     is_interface,
-    library_trace_set,
     prim_step,
 )
 
@@ -91,44 +89,23 @@ def eval_action(mode: Mode, action, s: State):
     if isinstance(mode, Complete):
         return ((s, action),)
 
-    if isinstance(mode, LibraryLocal):
-        gamma = mode.gamma
-        if action.method not in gamma:
-            raise KeyError(f"method {action.method!r} not in the specification")
-        if isinstance(action, PlainCall):
-            p = gamma.pre(action.method).for_thread(action.thread)
-            out = []
-            for piece in p.sorted_states():
-                combined = star(s, piece)
-                if combined is not None:
-                    out.append((combined,
-                                InterfaceAction(action.thread, Kind.CALL, action.method, piece)))
-            return tuple(out)
-        q = gamma.post(action.method).for_thread(action.thread)
-        split = sub_pred(s, q)
-        if split is None:
-            return TOP
-        rest, piece = split
-        return ((rest, InterfaceAction(action.thread, Kind.RET, action.method, piece)),)
-
+    # the library brings state in at a call and gives it up at a return;
+    # the client does the mirror image
     gamma = mode.gamma
     if action.method not in gamma:
         raise KeyError(f"method {action.method!r} not in the specification")
-    if isinstance(action, PlainCall):
-        p = gamma.pre(action.method).for_thread(action.thread)
-        split = sub_pred(s, p)
-        if split is None:
-            return TOP
-        rest, piece = split
-        return ((rest, InterfaceAction(action.thread, Kind.CALL, action.method, piece)),)
-    q = gamma.post(action.method).for_thread(action.thread)
-    out = []
-    for piece in q.sorted_states():
-        combined = star(s, piece)
-        if combined is not None:
-            out.append((combined,
-                        InterfaceAction(action.thread, Kind.RET, action.method, piece)))
-    return tuple(out)
+    call = isinstance(action, PlainCall)
+    kind = Kind.CALL if call else Kind.RET
+    pred = (gamma.pre if call else gamma.post)(action.method).for_thread(action.thread)
+    if call == isinstance(mode, LibraryLocal):
+        return tuple((combined, InterfaceAction(action.thread, kind, action.method, piece))
+                     for piece in pred.sorted_states()
+                     if (combined := star(s, piece)) is not None)
+    split = sub_pred(s, pred)
+    if split is None:
+        return TOP
+    rest, piece = split
+    return ((rest, InterfaceAction(action.thread, kind, action.method, piece)),)
 
 
 @dataclass(frozen=True)
@@ -165,61 +142,82 @@ class Denotation:
     traces: frozenset[Trace]
 
 
-def _eval_trie(mode: Mode, trie: _Trie, sigma: State) -> Denotation:
+def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
+          histories_only: bool = False) -> tuple[Trace | None, set[Trace]]:
+    """Walk the product of per-thread tries from ``sigma``, depth first, up to
+    ``cap`` actions.  Returns the ground prefix that faulted, or ``None`` and
+    every annotated trace reached; each path spells one ground trace, which
+    with its annotation fixes the state.  ``histories_only`` keeps interface
+    actions only and skips a (trie nodes, state, history) already walked: the
+    nodes fix the depth, so the cap cuts the same behaviours."""
     collected: set[Trace] = set()
+    seen: set | None = set() if histories_only else None
+    prefix: list = []
 
-    def walk(node: _Trie, outcomes: list[tuple[State, Trace]],
-             ground_prefix: tuple) -> Trace | None:
-        for st, ann in outcomes:
-            collected.add(ann)
-        for action, child in node.children.items():
-            nxt: set[tuple[State, Trace]] = set()
-            for st, ann in outcomes:
+    def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace) -> Trace | None:
+        if seen is not None:
+            key = (nodes, st, acc)
+            if key in seen:
+                return None
+            seen.add(key)
+        collected.add(acc)
+        if depth >= cap:
+            return None
+        for i, node in enumerate(nodes):
+            for action, child in node.children.items():
                 r = eval_action(mode, action, st)
                 if r is TOP:
-                    return ground_prefix + (action,)
+                    return (*prefix, action)
+                prefix.append(action)
+                succ = nodes[:i] + (child,) + nodes[i + 1:]
                 for st2, a2 in r:
-                    nxt.add((st2, ann + (a2,)))
-            fault = walk(child, list(nxt), ground_prefix + (action,))
-            if fault is not None:
-                return fault
+                    keep = not histories_only or isinstance(a2, InterfaceAction)
+                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc)
+                    if fault is not None:
+                        return fault
+                prefix.pop()
         return None
 
-    fault = walk(trie, [(sigma, ())], ())
-    if fault is not None:
-        return Denotation(True, fault, frozenset())
-    return Denotation(False, None, frozenset(collected))
+    fault = walk(tries, 0, sigma, ())
+    return fault, collected
 
 
-_DENOTE_CACHE: dict[tuple, Denotation] = {}
+def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) -> Denotation:
+    fault, traces = _walk(mode, tries, sigma, bounds.max_trace_len)
+    return Denotation(fault is not None, fault, frozenset(traces) if fault is None else frozenset())
+
+
+@lru_cache(maxsize=64)
+def _library_thread_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
+    return tuple(_Trie.of(ts) for ts in _library_threads(lib, bounds))
+
+
+@lru_cache(maxsize=64)
+def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, ...]:
+    return tuple(_Trie.of(ts) for ts in _client_threads(client, bounds))
+
+
+@lru_cache(maxsize=64)
+def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
+    return _denote(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma, bounds)
+
+
+@lru_cache(maxsize=64)
+def denote_client(client: ClientProgram, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
+    return _denote(ClientLocal(gamma), _client_thread_tries(client, bounds), sigma, bounds)
+
+
+@lru_cache(maxsize=64)
+def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: Bounds) -> Denotation:
+    tries = tuple(_Trie.of(ts) for ts in _complete_threads(lib, client, bounds))
+    return _denote(COMPLETE, tries, sigma, bounds)
 
 
 def clear_caches() -> None:
-    _DENOTE_CACHE.clear()
-
-
-def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
-    key = ("library", lib, gamma, sigma, bounds)
-    if key not in _DENOTE_CACHE:
-        trie = _Trie.of(library_trace_set(lib, bounds))
-        _DENOTE_CACHE[key] = _eval_trie(LibraryLocal(gamma), trie, sigma)
-    return _DENOTE_CACHE[key]
-
-
-def denote_client(client: ClientProgram, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
-    key = ("client", client, gamma, sigma, bounds)
-    if key not in _DENOTE_CACHE:
-        trie = _Trie.of(client_trace_set(client, bounds))
-        _DENOTE_CACHE[key] = _eval_trie(ClientLocal(gamma), trie, sigma)
-    return _DENOTE_CACHE[key]
-
-
-def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: Bounds) -> Denotation:
-    key = ("complete", lib, client, sigma, bounds)
-    if key not in _DENOTE_CACHE:
-        trie = _Trie.of(complete_trace_set(lib, client, bounds))
-        _DENOTE_CACHE[key] = _eval_trie(COMPLETE, trie, sigma)
-    return _DENOTE_CACHE[key]
+    """Drop the memoised denotations and per-thread tries."""
+    for cached in (denote_library, denote_client, denote_complete,
+                   _library_thread_tries, _client_thread_tries):
+        cached.cache_clear()
 
 
 def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -> Denotation:
@@ -373,39 +371,39 @@ def all_covers(kappa: Trace, lam: Trace) -> Iterator[Trace]:
 # interface sets and membership
 # ---------------------------------------------------------------------------
 
+def _check_contract_covers(lib: Library, gamma: MethodSpec, bounds: Bounds) -> None:
+    """Every library method has a contract for every most-general-client thread."""
+    for m in lib.method_names:
+        if m not in gamma:
+            raise ValueError(f"method {m!r} not in the specification")
+        for t in range(1, bounds.mgc_threads + 1):
+            try:
+                gamma.pre(m).for_thread(t)
+                gamma.post(m).for_thread(t)
+            except KeyError:
+                raise ValueError(
+                    f"the contract of method {m!r} does not cover thread {t}") from None
+
+
 def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
            bounds: Bounds) -> InterfaceSet:
     """The (initial footprint, history) pairs of a library's local behaviours.
 
-    Refuses unsafe libraries; every produced history is checked balanced from
-    the footprint of its initial state.
+    Refuses contracts that leave a method or a thread uncovered and unsafe
+    libraries; each entry is checked balanced from the footprint of its
+    initial state when it is built.
     """
+    _check_contract_covers(lib, gamma, bounds)
+    mode = LibraryLocal(gamma)
+    tries = _library_thread_tries(lib, bounds)
     entries = []
     for sigma0 in sorted(initial, key=State.sort_key):
-        d = denote_library(lib, gamma, sigma0, bounds)
-        if d.faulted:
-            raise UnsafeComponentError(
-                f"library faults at {sigma0!r}", d.fault_trace)
+        fault, histories = _walk(mode, tries, sigma0, bounds.max_trace_len, histories_only=True)
+        if fault is not None:
+            raise UnsafeComponentError(f"library faults at {sigma0!r}", fault)
         l0 = delta(sigma0)
-        for tau in d.traces:
-            h = history_of(tau)
-            assert is_balanced(h, l0), (sigma0, tau)
-            entries.append(BalancedHistory(l0, h))
+        entries.extend(BalancedHistory(l0, h) for h in histories)
     return interface_set(entries)
-
-
-@lru_cache(maxsize=64)
-def _library_thread_tries(lib: Library, bounds: Bounds):
-    names = lib.method_names
-    if not names:
-        return {}
-    from .lang import CallMethod, Star, _method_eta, choice
-    mgc = Star(choice(*(CallMethod(m) for m in names)))
-    mgc_bounds = Bounds(star_unroll=bounds.mgc_iters, mgc_iters=bounds.mgc_iters,
-                        mgc_threads=bounds.mgc_threads, max_trace_len=bounds.max_trace_len)
-    eta = _method_eta(lib, bounds)
-    return {t: _Trie.of(command_traces(mgc, t, eta, mgc_bounds))
-            for t in range(1, bounds.mgc_threads + 1)}
 
 
 def _prefix_in_trie(trie: _Trie, tau: Trace) -> bool:
@@ -417,51 +415,34 @@ def _prefix_in_trie(trie: _Trie, tau: Trace) -> bool:
     return True
 
 
-def library_trace_member(lib: Library, gamma: MethodSpec, sigma0: State,
-                         tau: Trace, bounds: Bounds) -> bool:
-    """Annotated-trace membership in the library-local denotation, decided by
-    structural membership of the ground trace plus re-evaluation."""
+def _trace_member(mode: Mode, tries: tuple[_Trie, ...], sigma: State, tau: Trace,
+                  bounds: Bounds) -> bool:
+    """Annotated-trace membership in a local denotation, decided by structural
+    membership of the ground trace plus re-evaluation."""
     if len(tau) > bounds.max_trace_len:
         return False
     g = ground(tau)
-    tries = _library_thread_tries(lib, bounds)
-    threads = {a.thread for a in g}
-    if any(t not in tries for t in threads):
-        return False
-    for t in threads:
-        proj = tuple(a for a in g if a.thread == t)
-        if not _prefix_in_trie(tries[t], proj):
+    for t in {a.thread for a in g}:
+        if not 1 <= t <= len(tries):
             return False
-    r = eval_trace(LibraryLocal(gamma), g, sigma0)
+        if not _prefix_in_trie(tries[t - 1], tuple(a for a in g if a.thread == t)):
+            return False
+    r = eval_trace(mode, g, sigma)
     if r.faulted:
         return False
     return any(ann == tau for _, ann in r.outcomes)
 
 
-@lru_cache(maxsize=64)
-def _client_thread_tries(client: ClientProgram, bounds: Bounds):
-    from .lang import _empty_eta
-    return {t + 1: _Trie.of(command_traces(cmd, t + 1, _empty_eta, bounds))
-            for t, cmd in enumerate(client.threads)}
+def library_trace_member(lib: Library, gamma: MethodSpec, sigma0: State,
+                         tau: Trace, bounds: Bounds) -> bool:
+    return _trace_member(LibraryLocal(gamma), _library_thread_tries(lib, bounds),
+                         sigma0, tau, bounds)
 
 
 def client_trace_member(client: ClientProgram, gamma: MethodSpec, sigma: State,
                         tau: Trace, bounds: Bounds) -> bool:
-    if len(tau) > bounds.max_trace_len:
-        return False
-    g = ground(tau)
-    tries = _client_thread_tries(client, bounds)
-    threads = {a.thread for a in g}
-    if any(t not in tries for t in threads):
-        return False
-    for t in threads:
-        proj = tuple(a for a in g if a.thread == t)
-        if not _prefix_in_trie(tries[t], proj):
-            return False
-    r = eval_trace(ClientLocal(gamma), g, sigma)
-    if r.faulted:
-        return False
-    return any(ann == tau for _, ann in r.outcomes)
+    return _trace_member(ClientLocal(gamma), _client_thread_tries(client, bounds),
+                         sigma, tau, bounds)
 
 
 # ---------------------------------------------------------------------------

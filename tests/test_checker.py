@@ -178,3 +178,52 @@ def test_verdicts_are_reproducible():
                         corpus.mini_stack(), corpus.MINI_INITIAL, SMALL, UNIVERSE)
     assert v1 == v2
     assert v1.as_dict() == v2.as_dict()
+
+
+UNCOVERED = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=3, max_trace_len=6)
+
+
+def test_contract_not_covering_a_thread_fails_the_hypothesis():
+    # gamma_val has predicates for threads 1 and 2 only
+    v = check_lin_code(corpus.mini_stack(), GAMMA, corpus.MINI_INITIAL,
+                       corpus.mini_stack(), corpus.MINI_INITIAL, UNCOVERED, UNIVERSE)
+    assert v.status is Status.HYPOTHESIS_FAILED
+    assert "'pop'" in v.summary and "thread 3" in v.summary
+    hs = interf(corpus.mini_stack(), GAMMA, corpus.MINI_INITIAL, SMALL)
+    v = check_lin_interface_set(corpus.mini_stack(), GAMMA, corpus.MINI_INITIAL,
+                                hs, UNCOVERED, UNIVERSE)
+    assert v.status is Status.HYPOTHESIS_FAILED
+    assert "'pop'" in v.summary and "thread 3" in v.summary
+
+
+_FIRST_MISS = """
+from ownlin import corpus, history
+from ownlin.checker import abstraction_check_spec
+from ownlin.history import Kind
+from ownlin.lang import Bounds
+from ownlin.semantics import interf
+b = Bounds(1, 1, 2, 8)
+g = corpus.gamma_val()
+spec = interf(corpus.mini_stack(), g, corpus.MINI_INITIAL, b)
+pruned = history.interface_set(e for e in spec.entries
+                               if not any(a.kind is Kind.RET for a in e.history))
+v = abstraction_check_spec(corpus.push_pop_client(), g, corpus.CLIENT_INITIAL,
+                           corpus.mini_stack_slow(), corpus.MINI_INITIAL, pruned, b,
+                           corpus.CORPUS_UNIVERSE, assume_linearizable=True)
+print(v.status.value, v.summary)
+"""
+
+
+def test_abstraction_check_spec_first_miss_ignores_hash_seed():
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        r = subprocess.run([sys.executable, "-c", _FIRST_MISS], env=env,
+                           capture_output=True, text=True, check=True)
+        out.append(r.stdout)
+    assert out[0].startswith("violated")
+    assert out[0] == out[1]

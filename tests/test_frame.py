@@ -14,7 +14,7 @@ from ownlin.frame import (
     frame_check,
 )
 from ownlin.history import call, ret
-from ownlin.lang import TOP
+from ownlin.lang import TOP, Bounds
 from ownlin.semantics import denote_library, history_of, library_trace_member
 
 GAMMA = corpus.gamma_val()
@@ -133,3 +133,10 @@ def test_frame_check_scribbler_fails_hypotheses():
     assert report.hypothesis4_witness is not None
     # writing into transferred blocks also breaks base-contract safety
     assert ("lib1:base", False) in report.safety
+
+
+def test_frame_check_rejects_a_contract_not_covering_a_thread():
+    with pytest.raises(ValueError, match="thread 3"):
+        frame_check(corpus.mini_stack_slow(), corpus.mini_stack(), GAMMA, GAMMA_OBJ,
+                    corpus.MINI_INITIAL, corpus.MINI_INITIAL, corpus.EXTRA_INITIAL_EMPTY,
+                    Bounds(1, 1, 3, 6), UNIVERSE)

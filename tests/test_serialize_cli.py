@@ -148,7 +148,7 @@ def test_cli_abstraction(corpus_files, tmp_path, capsys):
     assert code == 0
 
 
-def test_cli_frame_check(corpus_files, tmp_path):
+def _extension_file(tmp_path) -> str:
     ext = {
         "algebra": "ram",
         "gamma": serialize.gamma_to_json(corpus.gamma_val()),
@@ -157,9 +157,24 @@ def test_cli_frame_check(corpus_files, tmp_path):
     }
     epath = tmp_path / "ext.json"
     serialize.dump_json(ext, str(epath))
+    return str(epath)
+
+
+def test_cli_frame_check(corpus_files, tmp_path):
     code = main(["frame-check", corpus_files["mini_slow"], corpus_files["mini"],
-                 str(epath)])
+                 _extension_file(tmp_path)])
     assert code == 0
+
+
+def test_cli_contract_not_covering_a_thread(corpus_files, tmp_path, capsys):
+    code = main(["--mgc-threads", "3", "check-lin", corpus_files["mini_slow"],
+                 corpus_files["mini"]])
+    assert code == 2
+    assert "hypothesis-failed" in capsys.readouterr().out
+    code = main(["--mgc-threads", "3", "frame-check", corpus_files["mini_slow"],
+                 corpus_files["mini"], _extension_file(tmp_path)])
+    assert code == 2
+    assert "thread 3" in capsys.readouterr().err
 
 
 def test_cli_rearrange(corpus_files, tmp_path, capsys):
