@@ -79,7 +79,7 @@ from .semantics import (
     eval_trace,
     interf,
 )
-from .rearrange import ConflictError, RearrangeLog, SwapKind, client_rearrange, rearrange, try_swap
+from .rearrange import ConflictError, RearrangeLog, client_rearrange, rearrange, try_swap
 from .frame import extends, extra_eval, floor_action, ceil_action, frame_check
 from .checker import (
     Status,

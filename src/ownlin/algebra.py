@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Union
 
@@ -211,13 +212,12 @@ def pred_star(p: Predicate, q: Predicate) -> Predicate:
     """Pointwise lift of composition to state sets."""
     if p.algebra is not q.algebra:
         raise ValueError("mixed algebras")
-    out = set()
-    for a in p.states:
-        for b in q.states:
-            c = star(a, b)
-            if c is not None:
-                out.add(c)
-    return Predicate(p.algebra, frozenset(out))
+    return Predicate(p.algebra, star_set(p.states, q.states))
+
+
+def star_set(a: Iterable[State], b: Iterable[State]) -> frozenset[State]:
+    """Every defined composition of a state of ``a`` with a state of ``b``."""
+    return frozenset(c for s0 in a for s1 in b if (c := star(s0, s1)) is not None)
 
 
 def sub_pred(s: State, p: Predicate) -> Optional[tuple[State, State]]:
@@ -263,9 +263,6 @@ class ParamPredicate:
         return ParamPredicate((), p)
 
 
-_UNIVERSE_CACHE: dict[tuple, tuple[State, ...]] = {}
-
-
 @dataclass(frozen=True)
 class StateUniverse:
     """Finite enumeration bounds shared by all brute-force checks."""
@@ -275,12 +272,9 @@ class StateUniverse:
     permissions: tuple[Fraction, ...] = (Fraction(1, 2), Fraction(1))
     threads: tuple[int, ...] = (1, 2)
 
+    @lru_cache(maxsize=64)
     def states(self, algebra: Algebra) -> tuple[State, ...]:
         """All states over the bounded location/value/permission sets."""
-        key = (self, algebra)
-        cached = _UNIVERSE_CACHE.get(key)
-        if cached is not None:
-            return cached
         if algebra is Algebra.RAM:
             options: list[list[tuple[int, Cell] | None]] = [
                 [None] + [(loc, v) for v in self.values] for loc in self.locations
@@ -294,9 +288,7 @@ class StateUniverse:
         for combo in product(*options):
             cells = [c for c in combo if c is not None]
             out.append(State(algebra, cells))
-        result = tuple(sorted(out, key=State.sort_key))
-        _UNIVERSE_CACHE[key] = result
-        return result
+        return tuple(sorted(out, key=State.sort_key))
 
 
 def is_precise(p: Predicate | ParamPredicate, universe: StateUniverse) -> bool:

@@ -12,21 +12,23 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .algebra import State, StateUniverse, star
+from .algebra import State, StateUniverse, star_set
 from .footprint import delta, foot_add, foot_leq
 from .history import InterfaceSet, LeqReport, interface_set_leq
-from .lang import Bounds, ClientProgram, Library, MethodSpec, Program, Trace
+from .lang import Bounds, ClientProgram, Library, MethodSpec, Program
 from .semantics import (
     UnsafeComponentError,
+    _algebra_of,
     client_of,
     denotation_pairs,
+    equivalence_key,
     ground,
     history_of,
     interf,
 )
 
 
-class Status(Enum):
+class Status(str, Enum):
     HOLDS_AT_BOUNDS = "holds-at-bounds"
     VIOLATED = "violated"
     HYPOTHESIS_FAILED = "hypothesis-failed"
@@ -67,6 +69,18 @@ def _leq_lines(report: LeqReport) -> tuple[str, ...]:
     return tuple(lines)
 
 
+def _leq_verdict(report: LeqReport) -> Verdict:
+    if report.holds:
+        return Verdict(Status.HOLDS_AT_BOUNDS,
+                       f"all {len(report.entries)} behaviours reproduced",
+                       _leq_lines(report))
+    bad = report.failures()[0]
+    return Verdict(Status.VIOLATED,
+                   f"{len(report.failures())} behaviours not reproduced; "
+                   f"first: {bad.entry.initial!r} {bad.entry.history!r}",
+                   _leq_lines(report))
+
+
 def check_lin_code(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
                    lib2: Library, initial2: Iterable[State], bounds: Bounds,
                    universe: StateUniverse = StateUniverse()) -> Verdict:
@@ -78,16 +92,7 @@ def check_lin_code(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
         h2 = interf(lib2, gamma, initial2, bounds)
     except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    report = interface_set_leq(h1, h2)
-    if report.holds:
-        return Verdict(Status.HOLDS_AT_BOUNDS,
-                       f"all {len(report.entries)} behaviours reproduced",
-                       _leq_lines(report))
-    bad = report.failures()[0]
-    return Verdict(Status.VIOLATED,
-                   f"{len(report.failures())} behaviours not reproduced; "
-                   f"first: {bad.entry.initial!r} {bad.entry.history!r}",
-                   _leq_lines(report))
+    return _leq_verdict(interface_set_leq(h1, h2))
 
 
 def check_lin_interface_set(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
@@ -99,16 +104,7 @@ def check_lin_interface_set(lib1: Library, gamma: MethodSpec, initial1: Iterable
         h1 = interf(lib1, gamma, initial1, bounds)
     except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    report = interface_set_leq(h1, hset2)
-    if report.holds:
-        return Verdict(Status.HOLDS_AT_BOUNDS,
-                       f"all {len(report.entries)} behaviours reproduced",
-                       _leq_lines(report))
-    bad = report.failures()[0]
-    return Verdict(Status.VIOLATED,
-                   f"{len(report.failures())} behaviours not reproduced; "
-                   f"first: {bad.entry.initial!r} {bad.entry.history!r}",
-                   _leq_lines(report))
+    return _leq_verdict(interface_set_leq(h1, hset2))
 
 
 def inclusion_based_leq(h1: InterfaceSet, h2: InterfaceSet) -> bool:
@@ -127,16 +123,6 @@ def inclusion_based_leq(h1: InterfaceSet, h2: InterfaceSet) -> bool:
     return True
 
 
-def _star_states(a: Iterable[State], b: Iterable[State]) -> frozenset[State]:
-    out = set()
-    for s0 in a:
-        for s1 in b:
-            c = star(s0, s1)
-            if c is not None:
-                out.add(c)
-    return frozenset(out)
-
-
 def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
                            lib1: Library, initial1: Iterable[State],
                            lib2: Library, initial2: Iterable[State], bounds: Bounds,
@@ -148,7 +134,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     ``assume_linearizable`` skips the linearizability hypothesis so a harness
     test can feed a known-bad pair and watch the containment check fire.
     """
-    algebra = next(iter(initial1)).algebra
+    algebra = _algebra_of(initial1)
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)
@@ -162,9 +148,9 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
                            f"linearizability hypothesis: {lin.summary}")
     try:
         concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    _star_states(initial, initial1), bounds)
+                                    star_set(initial, initial1), bounds)
         abstract = denotation_pairs(Program(algebra, library=lib2, client=client, bounds=bounds),
-                                    _star_states(initial, initial2), bounds)
+                                    star_set(initial, initial2), bounds)
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
     reproducible = {client_of(tau) for _, tau in abstract}
@@ -180,16 +166,6 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
                    f"all client projections reproduced")
 
 
-def _equivalent(a: Trace, b: Trace) -> bool:
-    # same per-thread projections and identical non-interface projection
-    from .lang import is_interface
-    if tuple(x for x in a if not is_interface(x)) != tuple(x for x in b if not is_interface(x)):
-        return False
-    threads = {x.thread for x in a} | {x.thread for x in b}
-    return all(tuple(x for x in a if x.thread == t) == tuple(x for x in b if x.thread == t)
-               for t in threads)
-
-
 def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
                            lib1: Library, initial1: Iterable[State],
                            hset2: InterfaceSet, bounds: Bounds,
@@ -198,7 +174,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     """Replace a library by an interface set: every client-observable trace of
     the composition must be equivalent to a client-local trace whose history
     the set contains with a compatible initial footprint."""
-    algebra = next(iter(initial1)).algebra
+    algebra = _algebra_of(initial1)
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)
@@ -212,30 +188,21 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
                            f"linearizability hypothesis: {lin.summary}")
     try:
         concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    _star_states(initial, initial1), bounds)
+                                    star_set(initial, initial1), bounds)
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
 
     entries_by_history = {}
     for entry in hset2.sorted_entries():
         entries_by_history.setdefault(entry.history, []).append(entry.initial)
-
-    misses = []
-    for sigma, tau in sorted(concrete, key=lambda p: (p[0].sort_key(), len(p[1]))):
-        target = client_of(tau)
-        found = False
-        for sigma_c, kappa in client_pairs:
-            if not _equivalent(target, ground(kappa)):
-                continue
-            for l in entries_by_history.get(history_of(kappa), ()):
-                if foot_add(delta(sigma_c), l) is not None:
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            misses.append(target)
-    misses.sort(key=lambda t: (len(t), repr(t)))
+    # the classes of the client traces whose history the set holds from a
+    # footprint compatible with the client's own
+    reproducible = {equivalence_key(ground(kappa)) for sigma_c, kappa in client_pairs
+                    if any(foot_add(delta(sigma_c), l) is not None
+                           for l in entries_by_history.get(history_of(kappa), ()))}
+    targets = (client_of(tau) for _, tau in concrete)
+    misses = sorted((t for t in targets if equivalence_key(t) not in reproducible),
+                    key=lambda t: (len(t), repr(t)))
     if misses:
         return Verdict(Status.VIOLATED,
                        f"{len(misses)} client projections unreproduced; "

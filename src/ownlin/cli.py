@@ -12,7 +12,7 @@ import random
 import sys
 
 from .algebra import Algebra, StateUniverse, algebra_law_check
-from .checker import Verdict, abstraction_check_code, check_lin_code
+from .checker import EXIT_CODES, Verdict, abstraction_check_code, check_lin_code
 from .footprint import delta, foot_leq, footprint_law_check
 from .frame import frame_check
 from .history import evaluate_footprint, linearized_by
@@ -102,11 +102,12 @@ def _cmd_frame_check(args) -> int:
     report = frame_check(prog1.library, prog2.library, gamma, gamma_ext,
                          prog1.initial, prog2.initial, initial_extra, bounds, universe)
     if args.json:
-        print(serialize.dump_json({"status": report.status, "details": list(report.lines())}))
+        print(serialize.dump_json({"status": report.status.value,
+                                   "details": list(report.lines())}))
     else:
         for line in report.lines():
             print(line)
-    return {"holds-at-bounds": 0, "violated": 1}.get(report.status, 2)
+    return EXIT_CODES[report.status]
 
 
 def _cmd_validate_algebra(args) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import State, StateUniverse, star, state_sub, sub_pred
+from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
+from .checker import Status
 from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
@@ -124,16 +125,6 @@ def extra_eval_explain(h: Sequence[InterfaceAction], sigma: State
     return cur, None
 
 
-def star_set(a: Iterable[State], b: Iterable[State]) -> frozenset[State]:
-    out = set()
-    for s0 in a:
-        for s1 in b:
-            c = star(s0, s1)
-            if c is not None:
-                out.add(c)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Hypothesis4Witness:
     initial_base: State
@@ -145,7 +136,7 @@ class Hypothesis4Witness:
 
 @dataclass(frozen=True)
 class FrameReport:
-    status: str  # "holds-at-bounds" | "violated" | "hypothesis-failed"
+    status: Status
     extends_ok: bool
     safety: tuple[tuple[str, bool], ...]
     hypothesis4_ok: bool
@@ -169,7 +160,7 @@ class FrameReport:
         if self.direct_check is not None:
             out.append(f"extended-contract check (direct): "
                        f"{'ok' if self.direct_check.holds else 'FAILED'}")
-        out.append(f"verdict: {self.status}")
+        out.append(f"verdict: {self.status.value}")
         return tuple(out)
 
 
@@ -249,13 +240,13 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
         direct = interface_set_leq(interfs["lib1:extended"], interfs["lib2:extended"])
 
     if not hypotheses_ok:
-        status = "hypothesis-failed"
+        status = Status.HYPOTHESIS_FAILED
     elif direct is None or not direct.holds:
         # the rule's conclusion must agree with brute force; disagreement
         # would falsify the implementation, so surface it loudly
-        status = "violated"
+        status = Status.VIOLATED
     else:
-        status = "holds-at-bounds"
+        status = Status.HOLDS_AT_BOUNDS
 
     return FrameReport(status, ext_ok, tuple(safety), hyp4_ok, hyp4_witness,
                        base_lin, direct)

@@ -67,14 +67,17 @@ def check_well_formed(h: Sequence[InterfaceAction]) -> bool:
     return True
 
 
-def evaluate_footprint(h: Sequence[InterfaceAction], l: Footprint) -> Optional[Footprint]:
-    """Fold the library-side footprint over a history; ``None`` = unbalanced."""
+def evaluate_footprint(h: Sequence[InterfaceAction], l: Footprint,
+                       gains: Kind = Kind.CALL) -> Optional[Footprint]:
+    """Fold a footprint over a history, adding the transferred state at
+    actions of kind ``gains`` and subtracting it at the others; ``None`` =
+    unbalanced.  The library gains at calls, the client at returns."""
     cur: Optional[Footprint] = l
     for a in h:
         if cur is None:
             return None
         d = delta(a.transferred)
-        cur = foot_add(cur, d) if a.kind is Kind.CALL else foot_sub(cur, d)
+        cur = foot_add(cur, d) if a.kind is gains else foot_sub(cur, d)
     return cur
 
 

@@ -6,8 +6,9 @@ at a time, into a trace of the same library whose history is exactly the
 target.  In the library-local semantics a swap may bring a call earlier past
 anything but a return, bring it earlier past a return only when the swapped
 history stays balanced, and push a return later past anything but a call.
-The client-side procedure is the mirror image (returns move earlier, calls
-later).
+The client side is the mirror image (returns move earlier, calls later, and
+the client gains state at returns); one procedure, ``_align``, serves both
+sides, told apart by the kind that moves earlier.
 
 A balanced-swap gate that fails would exhibit a conflicting pair of
 histories, which cannot exist; ``ConflictError`` therefore signals an
@@ -17,26 +18,21 @@ implementation bug, never an input problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .algebra import State
-from .footprint import Footprint, delta, foot_add, foot_leq, foot_sub
+from .footprint import Footprint, delta, foot_leq
 from .history import (
+    History,
     InterfaceAction,
     Kind,
+    LinWitness,
     evaluate_footprint,
     is_balanced,
     linearized_by,
 )
 from .lang import Bounds, ClientProgram, Library, MethodSpec, Trace
-from .semantics import client_trace_member, history_of, library_trace_member
-
-
-class SwapKind(Enum):
-    NON_RET_BEFORE_CALL = "non-ret-before-call"
-    RET_BEFORE_CALL_BALANCED = "ret-before-call-balanced"
-    RET_BEFORE_NON_CALL = "ret-before-non-call"
+from .semantics import client_trace_member, equivalence_key, history_of, library_trace_member
 
 
 @dataclass(frozen=True)
@@ -70,8 +66,9 @@ class RearrangeLog:
 
 
 class ConflictError(AssertionError):
-    """A balanced-swap gate failed; conflicting histories cannot exist, so
-    this marks a bug in the rearrangement procedure itself."""
+    """An invariant of the rearrangement failed, such as a balanced-swap gate
+    (conflicting histories cannot exist); this marks a bug in the procedure
+    itself.  Raised explicitly, so ``python -O`` keeps the checks."""
 
 
 def _swapped(trace: Trace, i: int) -> Trace:
@@ -82,17 +79,28 @@ def _is_iact(a) -> bool:
     return isinstance(a, InterfaceAction)
 
 
-def _swap_rule_library(a, b, swapped_history, initial: Footprint) -> Optional[SwapKind]:
-    a_ret = _is_iact(a) and a.kind is Kind.RET
-    b_call = _is_iact(b) and b.kind is Kind.CALL
-    if not a_ret and b_call:
-        return SwapKind.NON_RET_BEFORE_CALL
-    if a_ret and b_call:
-        if is_balanced(swapped_history, initial):
-            return SwapKind.RET_BEFORE_CALL_BALANCED
-        return None
-    if a_ret and not b_call:
-        return SwapKind.RET_BEFORE_NON_CALL
+def _late(early: Kind) -> Kind:
+    return Kind.RET if early is Kind.CALL else Kind.CALL
+
+
+def _swap_rule(early: Kind, a, b, swapped_history, initial: Footprint) -> Optional[str]:
+    """The rule that lets ``b`` move earlier past ``a``, or ``None``.
+
+    ``early`` is the kind that moves earlier: calls on the library side,
+    returns on the client side.  An ``early`` action may move earlier past
+    anything, past an action of the other kind only when the swapped history
+    stays balanced; an action of the other kind may move later past anything."""
+    late = _late(early)
+    a_late = _is_iact(a) and a.kind is late
+    b_early = _is_iact(b) and b.kind is early
+    if not a_late and b_early:
+        return f"non-{late.value}-before-{early.value}"
+    if a_late and b_early:
+        if evaluate_footprint(swapped_history, initial, gains=early) is None:
+            return None
+        return f"{late.value}-before-{early.value}-balanced"
+    if a_late:
+        return f"{late.value}-before-non-{early.value}"
     return None
 
 
@@ -109,7 +117,7 @@ def try_swap(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
     if a.thread == b.thread:
         return None
     out = _swapped(trace, i)
-    rule = _swap_rule_library(a, b, history_of(out), delta(sigma0))
+    rule = _swap_rule(Kind.CALL, a, b, history_of(out), delta(sigma0))
     if rule is None:
         return None
     if not library_trace_member(lib, gamma, sigma0, out, bounds):
@@ -133,122 +141,14 @@ def rearrange(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
     linearized by the trace's history.
     """
     H = tuple(target_history)
-    l0 = delta(sigma0)
     if not is_balanced(H, target_initial):
         raise ValueError("target history not balanced from its initial footprint")
-    if not foot_leq(l0, target_initial):
+    if not foot_leq(delta(sigma0), target_initial):
         raise ValueError("trace-side initial footprint must be below the target's")
     if linearized_by(H, history_of(trace)) is None:
         raise ValueError("target history is not linearized by the trace's history")
-    if not library_trace_member(lib, gamma, sigma0, trace, bounds):
-        raise ValueError("trace is not in the library-local denotation")
-
-    cur = trace
-    stages: list[StageRecord] = []
-
-    def do_swap(pos: int, rule: SwapKind, swaps: list[SwapStep]) -> Trace:
-        out = _swapped(cur, pos)
-        if not library_trace_member(lib, gamma, sigma0, out, bounds):
-            raise ConflictError(
-                f"swap at {pos} not reproducible in the library-local denotation")
-        swaps.append(SwapStep(pos, rule.value))
-        return out
-
-    for k in range(len(H)):
-        witness = linearized_by(H, history_of(cur), pin=k)
-        if witness is None:
-            raise ConflictError(f"linearization witness lost at stage {k}")
-        swaps: list[SwapStep] = []
-        positions = _interface_positions(cur)
-        p = positions[witness.mapping[k]]
-        psi = H[k]
-        assert cur[p] == psi
-
-        if psi.kind is Kind.CALL:
-            # slide the matched call left until exactly k interface actions precede it
-            while _interface_positions(cur).index(p) > k:
-                a = cur[p - 1]
-                if a.thread == psi.thread:
-                    raise ConflictError("matched call blocked by its own thread")
-                out = _swapped(cur, p - 1)
-                rule = _swap_rule_library(a, psi, history_of(out), l0)
-                if rule is None:
-                    raise ConflictError(
-                        f"unbalanced return/call swap at stage {k} (conflicting pair)")
-                if debug and rule is SwapKind.RET_BEFORE_CALL_BALANCED:
-                    _assert_swap_commutes(cur, p - 1, l0)
-                cur = do_swap(p - 1, rule, swaps)
-                p -= 1
-        else:
-            # push the blocking returns (leftmost first) to just past the matched one
-            while True:
-                positions = _interface_positions(cur)
-                idx = positions.index(p)
-                if idx == k:
-                    break
-                q = positions[k]
-                blocker = cur[q]
-                if not (_is_iact(blocker) and blocker.kind is Kind.RET):
-                    raise ConflictError(
-                        f"unexpected call between matched prefix and return at stage {k}")
-                while q < p:
-                    b = cur[q + 1]
-                    if b.thread == blocker.thread:
-                        raise ConflictError("blocking return followed by its own thread")
-                    out = _swapped(cur, q)
-                    rule = _swap_rule_library(blocker, b, history_of(out), l0)
-                    if rule is None:
-                        raise ConflictError(f"return blocked while moving right at stage {k}")
-                    cur = do_swap(q, rule, swaps)
-                    q += 1
-                p -= 1  # the matched return shifted left past one blocker
-
-        if debug:
-            assert history_of(cur)[:k + 1] == H[:k + 1]
-            assert linearized_by(H, history_of(cur), pin=k + 1) is not None
-        stages.append(StageRecord(k, p + 1, tuple(swaps)))
-
-    assert history_of(cur) == H
-    return cur, RearrangeLog(tuple(stages))
-
-
-def _assert_swap_commutes(trace: Trace, i: int, initial: Footprint) -> None:
-    # the footprint fold of ...ret,call... equals that of ...call,ret... once
-    # both orders stay defined; this is the add/sub exchange law in action
-    h = history_of(trace[:i])
-    a, b = trace[i], trace[i + 1]
-    before = evaluate_footprint(h + (a, b), initial)
-    after = evaluate_footprint(h + (b, a), initial)
-    assert before is not None and before == after, (h, a, b)
-
-
-# ---------------------------------------------------------------------------
-# client side (mirror image)
-# ---------------------------------------------------------------------------
-
-def _client_foot_eval(h: Sequence[InterfaceAction], l: Footprint) -> Optional[Footprint]:
-    # client-side footprint fold: state leaves at calls and arrives at returns
-    cur: Optional[Footprint] = l
-    for a in h:
-        if cur is None:
-            return None
-        d = delta(a.transferred)
-        cur = foot_sub(cur, d) if a.kind is Kind.CALL else foot_add(cur, d)
-    return cur
-
-
-def _swap_rule_client(a, b, swapped_history, client_initial: Footprint) -> Optional[str]:
-    a_call = _is_iact(a) and a.kind is Kind.CALL
-    b_ret = _is_iact(b) and b.kind is Kind.RET
-    if not a_call and b_ret:
-        return "non-call-before-ret"
-    if a_call and b_ret:
-        if _client_foot_eval(swapped_history, client_initial) is not None:
-            return "call-before-ret-balanced"
-        return None
-    if a_call and not b_ret:
-        return "call-before-non-ret"
-    return None
+    return _align(Kind.CALL, lambda tau: library_trace_member(lib, gamma, sigma0, tau, bounds),
+                  trace, H, delta(sigma0), debug)
 
 
 def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
@@ -262,85 +162,117 @@ def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
     what the interface-set abstraction argument needs.
     """
     H = tuple(target_history)
-    lc = delta(sigma)
     if linearized_by(history_of(trace), H) is None:
         raise ValueError("trace history is not linearized by the target history")
-    if not client_trace_member(client, gamma, sigma, trace, bounds):
-        raise ValueError("trace is not in the client-local denotation")
+    return _align(Kind.RET, lambda tau: client_trace_member(client, gamma, sigma, tau, bounds),
+                  trace, H, delta(sigma), debug)
 
-    cur = trace
-    stages: list[StageRecord] = []
 
-    def do_swap(pos: int, rule: str, swaps: list[SwapStep]) -> Trace:
+_WORD = {Kind.CALL: "call", Kind.RET: "return"}
+
+
+def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: History,
+           initial: Footprint, debug: bool) -> tuple[Trace, RearrangeLog]:
+    """Bring the target's actions into place one stage at a time.
+
+    Stage ``k`` takes the trace action that a pinned linearization witness
+    matches to ``H[k]``.  An ``early`` action slides left past the actions
+    before it; otherwise the blocking ``late`` actions, leftmost first, are
+    pushed right past it.  ``member`` decides membership in the side's local
+    denotation and re-verifies every swap; ``initial`` is the side's own
+    footprint, which gains state at ``early`` actions.
+    """
+    late = _late(early)
+    side = "library" if early is Kind.CALL else "client"
+    if not member(trace):
+        raise ValueError(f"trace is not in the {side}-local denotation")
+
+    def witness(h: History, pin: int) -> Optional[LinWitness]:
+        # the library trace's history linearizes the target; on the client
+        # side the target linearizes the trace's history
+        if early is Kind.CALL:
+            return linearized_by(H, h, pin=pin)
+        return linearized_by(h, H, pin=pin)
+
+    def do_swap(cur: Trace, pos: int, rule: str, swaps: list[SwapStep]) -> Trace:
         out = _swapped(cur, pos)
-        if not client_trace_member(client, gamma, sigma, out, bounds):
+        if not member(out):
             raise ConflictError(
-                f"swap at {pos} not reproducible in the client-local denotation")
+                f"swap at {pos} not reproducible in the {side}-local denotation")
         swaps.append(SwapStep(pos, rule))
         return out
 
+    cur = trace
+    stages: list[StageRecord] = []
     for k in range(len(H)):
-        witness = linearized_by(history_of(cur), H, pin=k)
-        if witness is None:
+        w = witness(history_of(cur), k)
+        if w is None:
             raise ConflictError(f"linearization witness lost at stage {k}")
         swaps: list[SwapStep] = []
         positions = _interface_positions(cur)
-        src_index = witness.mapping.index(k)
-        p = positions[src_index]
+        p = positions[w.mapping[k] if early is Kind.CALL else w.mapping.index(k)]
         psi = H[k]
-        assert cur[p] == psi
+        if cur[p] != psi:
+            raise ConflictError(f"witness matched {cur[p]!r} to {psi!r} at stage {k}")
 
-        if psi.kind is Kind.RET:
-            # slide the matched return left until exactly k interface actions precede it
+        if psi.kind is early:
+            # slide the matched action left until exactly k interface actions precede it
             while _interface_positions(cur).index(p) > k:
                 a = cur[p - 1]
                 if a.thread == psi.thread:
-                    raise ConflictError("matched return blocked by its own thread")
-                out = _swapped(cur, p - 1)
-                rule = _swap_rule_client(a, psi, history_of(out), lc)
+                    raise ConflictError(f"matched {_WORD[early]} blocked by its own thread")
+                rule = _swap_rule(early, a, psi, history_of(_swapped(cur, p - 1)), initial)
                 if rule is None:
-                    raise ConflictError(
-                        f"call/return swap lost client state at stage {k}")
-                cur = do_swap(p - 1, rule, swaps)
+                    raise ConflictError(f"unbalanced {_WORD[late]}/{_WORD[early]} swap "
+                                        f"at stage {k} (conflicting pair)")
+                if debug and rule.endswith("-balanced"):
+                    _check_swap_commutes(cur, p - 1, initial, early)
+                cur = do_swap(cur, p - 1, rule, swaps)
                 p -= 1
         else:
-            # push the blocking calls (leftmost first) to just past the matched one
+            # push the blocking actions (leftmost first) to just past the matched one
             while True:
                 positions = _interface_positions(cur)
-                idx = positions.index(p)
-                if idx == k:
+                if positions.index(p) == k:
                     break
                 q = positions[k]
                 blocker = cur[q]
-                if not (_is_iact(blocker) and blocker.kind is Kind.CALL):
-                    raise ConflictError(
-                        f"unexpected return between matched prefix and call at stage {k}")
+                if not (_is_iact(blocker) and blocker.kind is late):
+                    raise ConflictError(f"unexpected {_WORD[early]} between matched prefix "
+                                        f"and {_WORD[late]} at stage {k}")
                 while q < p:
                     b = cur[q + 1]
                     if b.thread == blocker.thread:
-                        raise ConflictError("blocking call followed by its own thread")
-                    out = _swapped(cur, q)
-                    rule = _swap_rule_client(blocker, b, history_of(out), lc)
+                        raise ConflictError(
+                            f"blocking {_WORD[late]} followed by its own thread")
+                    rule = _swap_rule(early, blocker, b, history_of(_swapped(cur, q)), initial)
                     if rule is None:
-                        raise ConflictError(f"call blocked while moving right at stage {k}")
-                    cur = do_swap(q, rule, swaps)
+                        raise ConflictError(
+                            f"{_WORD[late]} blocked while moving right at stage {k}")
+                    cur = do_swap(cur, q, rule, swaps)
                     q += 1
-                p -= 1
+                p -= 1  # the matched action shifted left past one blocker
 
         if debug:
-            assert history_of(cur)[:k + 1] == H[:k + 1]
-            assert linearized_by(history_of(cur), H, pin=k + 1) is not None
+            if history_of(cur)[:k + 1] != H[:k + 1]:
+                raise ConflictError(f"history prefix differs from the target after stage {k}")
+            if witness(history_of(cur), k + 1) is None:
+                raise ConflictError(f"linearization witness lost after stage {k}")
         stages.append(StageRecord(k, p + 1, tuple(swaps)))
 
-    assert history_of(cur) == H
-    _assert_equivalent(trace, cur)
+    if history_of(cur) != H:
+        raise ConflictError("rearranged history differs from the target")
+    if equivalence_key(cur) != equivalence_key(trace):
+        raise ConflictError("rearranged trace is not equivalent to the original")
     return cur, RearrangeLog(tuple(stages))
 
 
-def _assert_equivalent(before: Trace, after: Trace) -> None:
-    threads = {a.thread for a in before} | {a.thread for a in after}
-    for t in threads:
-        assert tuple(a for a in before if a.thread == t) == \
-            tuple(a for a in after if a.thread == t)
-    assert tuple(a for a in before if not _is_iact(a)) == \
-        tuple(a for a in after if not _is_iact(a))
+def _check_swap_commutes(trace: Trace, i: int, initial: Footprint, gains: Kind) -> None:
+    # the footprint fold of ...late,early... equals that of ...early,late...
+    # once both orders stay defined; this is the add/sub exchange law in action
+    h = history_of(trace[:i])
+    a, b = trace[i], trace[i + 1]
+    before = evaluate_footprint(h + (a, b), initial, gains=gains)
+    after = evaluate_footprint(h + (b, a), initial, gains=gains)
+    if before is None or before != after:
+        raise ConflictError(f"swap at {i} does not commute after {h!r}: {a!r}, {b!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Union
 
-from .algebra import LawReport, Recorder, State, star, sub_pred
+from .algebra import LawReport, Recorder, State, star, star_set, sub_pred
 from .footprint import delta
 from .history import (
     BalancedHistory,
@@ -267,6 +267,14 @@ def ground(tau: Trace) -> Trace:
     return tuple(ground_action(a) for a in tau)
 
 
+def equivalence_key(tau: Trace) -> tuple:
+    """The non-interface projection plus ``(thread, projection)`` per thread:
+    two traces are equivalent exactly when their keys are equal."""
+    return (tuple(a for a in tau if not is_interface(a)),
+            tuple((t, tuple(a for a in tau if a.thread == t))
+                  for t in sorted({a.thread for a in tau})))
+
+
 def _split_actions(tau: Trace) -> tuple[Trace, Trace]:
     """(client projection, library projection): commands classified by whether
     the thread is inside a method, plus all calls and returns in both."""
@@ -477,13 +485,7 @@ def compose_decompose_check(client: ClientProgram, lib: Library, gamma: MethodSp
     record = rec.record
 
     lhs: set[tuple[State, Trace]] = set()
-    combined_initials = set()
-    for s0 in initial_client:
-        for s1 in initial_lib:
-            c = star(s0, s1)
-            if c is not None:
-                combined_initials.add(c)
-    for sigma in sorted(combined_initials, key=State.sort_key):
+    for sigma in sorted(star_set(initial_client, initial_lib), key=State.sort_key):
         d = denote_complete(lib, client, sigma, bounds)
         if d.faulted:
             record("complete_safety", (sigma,), "safe", d.fault_trace)

@@ -2,8 +2,8 @@
 
 The oracles deliberately avoid the algorithms they check: linearization is
 decided by enumerating every action-matching bijection, subtraction by
-searching the bounded universe, and footprint operations via representative
-states.
+searching the bounded universe, footprint operations via representative
+states, and trace equivalence by comparing projections pairwise.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from collections import Counter, defaultdict
 from itertools import permutations
 
 from ownlin.algebra import ParamPredicate, State, star
+from ownlin.footprint import delta, foot_add
 from ownlin.history import Kind, call, ret
 from ownlin.lang import (
     Assume,
@@ -22,12 +23,14 @@ from ownlin.lang import (
     Prim,
     TID,
     choice,
+    is_interface,
     library,
     method_spec,
     seq,
     store,
 )
 from ownlin import ram
+from ownlin.semantics import client_of, ground, history_of
 
 
 def state_sub_oracle(s2: State, s1: State, universe) -> State | None:
@@ -84,6 +87,32 @@ def all_witnesses_bruteforce(h, h2):
 
 def linearized_by_bruteforce(h, h2) -> bool:
     return next(iter(all_witnesses_bruteforce(h, h2)), None) is not None
+
+
+def equivalent_oracle(a, b) -> bool:
+    """Same per-thread projections and identical non-interface projection."""
+    if tuple(x for x in a if not is_interface(x)) != tuple(x for x in b if not is_interface(x)):
+        return False
+    threads = {x.thread for x in a} | {x.thread for x in b}
+    return all(tuple(x for x in a if x.thread == t) == tuple(x for x in b if x.thread == t)
+               for t in threads)
+
+
+def abstraction_spec_misses_oracle(client_pairs, concrete, hset):
+    """The client projections of ``concrete`` that no client pair reproduces:
+    equivalent to its ground trace, with a history the set holds from a
+    footprint compatible with the client's own.  A nested loop, sorted by
+    ``(len, repr)`` like the checker's report."""
+    misses = []
+    for _, tau in concrete:
+        target = client_of(tau)
+        if not any(equivalent_oracle(target, ground(kappa))
+                   and any(e.history == history_of(kappa)
+                           and foot_add(delta(sigma_c), e.initial) is not None
+                           for e in hset.entries)
+                   for sigma_c, kappa in client_pairs):
+            misses.append(target)
+    return sorted(misses, key=lambda t: (len(t), repr(t)))
 
 
 EMPTY = ram({})

@@ -147,3 +147,12 @@ def test_states_are_canonical_and_hashable():
     assert a == b and hash(a) == hash(b)
     assert a.cells == ((1, 5), (2, 7))
     assert len({a, b}) == 1
+
+
+def test_universe_enumeration_cache_is_bounded():
+    u = StateUniverse(locations=(1,), values=(0,))
+    assert u.states(Algebra.RAM) is u.states(Algebra.RAM)
+    for v in range(70):
+        StateUniverse(locations=(1,), values=(v,)).states(Algebra.RAM)
+    info = StateUniverse.states.cache_info()
+    assert info.maxsize == 64 and info.currsize <= 64

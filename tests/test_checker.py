@@ -1,6 +1,9 @@
 import random
 
+import pytest
+
 from ownlin import corpus, interf, interface_set_leq, ram
+from ownlin.algebra import Algebra, star_set
 from ownlin.checker import (
     Status,
     abstraction_check_code,
@@ -9,11 +12,17 @@ from ownlin.checker import (
     check_lin_interface_set,
     inclusion_based_leq,
 )
-from ownlin.history import interface_set, is_sequential
-from ownlin.lang import Bounds, Prim, SKIP, library, seq
-from ownlin.semantics import UnsafeComponentError
+from ownlin.history import Kind, interface_set, is_sequential
+from ownlin.lang import Bounds, Prim, Program, SKIP, library, seq
+from ownlin.semantics import UnsafeComponentError, denotation_pairs
 
-from helpers import RANDOM_LIB_BOUNDS, RANDOM_LIB_INITIAL, random_gamma, random_library
+from helpers import (
+    RANDOM_LIB_BOUNDS,
+    RANDOM_LIB_INITIAL,
+    abstraction_spec_misses_oracle,
+    random_gamma,
+    random_library,
+)
 
 GAMMA = corpus.gamma_val()
 UNIVERSE = corpus.CORPUS_UNIVERSE
@@ -169,6 +178,40 @@ def test_abstraction_check_spec_pruned_set_detected():
         corpus.mini_stack(), corpus.MINI_INITIAL, pruned, BOUNDS, UNIVERSE,
         assume_linearizable=True)
     assert v.status is Status.VIOLATED
+
+
+@pytest.mark.parametrize("bounds", [Bounds(1, 1, 2, 8), Bounds(1, 2, 2, 8)])
+def test_abstraction_check_spec_agrees_with_nested_loop_oracle(bounds):
+    client, initial = corpus.push_pop_client(), corpus.CLIENT_INITIAL
+    own = interf(corpus.mini_stack(), GAMMA, corpus.MINI_INITIAL, bounds)
+    pruned = interface_set(e for e in own.entries
+                           if not any(a.kind is Kind.RET for a in e.history))
+    client_pairs = denotation_pairs(Program(Algebra.RAM, client=client, gamma=GAMMA,
+                                            bounds=bounds), initial, bounds)
+    verdicts = set()
+    for lib, hset in ((corpus.mini_stack(), own), (corpus.mini_stack_slow(), pruned)):
+        concrete = denotation_pairs(Program(Algebra.RAM, library=lib, client=client,
+                                            bounds=bounds),
+                                    star_set(initial, corpus.MINI_INITIAL), bounds)
+        misses = abstraction_spec_misses_oracle(client_pairs, concrete, hset)
+        v = abstraction_check_spec(client, GAMMA, initial, lib, corpus.MINI_INITIAL, hset,
+                                   bounds, UNIVERSE, assume_linearizable=True)
+        if misses:
+            assert v.status is Status.VIOLATED
+            assert v.summary == (f"{len(misses)} client projections unreproduced; "
+                                 f"first: {misses[0]!r}")
+        else:
+            assert v.status is Status.HOLDS_AT_BOUNDS
+        verdicts.add(v.status)
+    assert Status.VIOLATED in verdicts
+
+
+def test_abstraction_checks_refuse_an_empty_initial_set():
+    for check, abstract in ((abstraction_check_code, (corpus.mini_stack(), corpus.MINI_INITIAL)),
+                            (abstraction_check_spec, (interface_set(()),))):
+        with pytest.raises(ValueError, match="need at least one initial state"):
+            check(corpus.push_pop_client(), GAMMA, corpus.CLIENT_INITIAL,
+                  corpus.mini_stack(), frozenset(), *abstract, SMALL, UNIVERSE)
 
 
 def test_verdicts_are_reproducible():

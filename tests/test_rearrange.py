@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from ownlin import corpus, delta, linearized_by, ram
-from ownlin.history import InterfaceAction, Kind, is_sequential
+from ownlin.history import InterfaceAction, Kind, call, is_sequential, ret
 from ownlin.lang import Bounds
 from ownlin.rearrange import client_rearrange, rearrange, try_swap
 from ownlin.semantics import (
@@ -18,6 +21,12 @@ from helpers import delinearize
 
 GAMMA = corpus.gamma_val()
 BOUNDS = corpus.DEFAULT_BOUNDS
+LIBRARY_RULES = {"non-ret-before-call", "ret-before-call-balanced", "ret-before-non-call"}
+CLIENT_RULES = {"non-call-before-ret", "call-before-ret-balanced", "call-before-non-ret"}
+
+
+def _rules(log) -> set[str]:
+    return {w.rule for s in log.stages for w in s.swaps}
 
 
 def _library_traces_by_history(lib, initial):
@@ -103,6 +112,7 @@ def test_rearrange_delinearizes_sequential_trace():
     sigma0, by_hist = _library_traces_by_history(corpus.plain_stack(), corpus.PLAIN_INITIAL)
     rng = random.Random(3)
     done = 0
+    rules = set()
     seq_hists = [h for h in sorted(by_hist, key=lambda h: (-len(h), repr(h)))
                  if len(h) >= 4 and is_sequential(h)]
     for h2 in seq_hists:
@@ -113,14 +123,16 @@ def test_rearrange_delinearizes_sequential_trace():
             continue
         assert linearized_by(target, h2) is not None
         tau = max(by_hist[h2], key=len)
-        out, _ = rearrange(corpus.plain_stack(), GAMMA, sigma0, tau, target,
-                           delta(sigma0), BOUNDS, debug=True)
+        out, log = rearrange(corpus.plain_stack(), GAMMA, sigma0, tau, target,
+                             delta(sigma0), BOUNDS, debug=True)
         assert history_of(out) == target
         assert library_trace_member(corpus.plain_stack(), GAMMA, sigma0, out, BOUNDS)
+        rules |= _rules(log)
         done += 1
         if done >= 10:
             break
     assert done >= 5
+    assert rules == LIBRARY_RULES
 
 
 def test_rearrange_rejects_bad_preconditions():
@@ -171,3 +183,59 @@ def test_client_rearrange_identity_and_alignment():
         if done >= 5:
             break
     assert done >= 3
+
+
+def test_client_rearrange_uses_the_mirrored_rules():
+    client = corpus.push_pop_client()
+    sigma = next(iter(corpus.CLIENT_INITIAL))
+    by_hist = {}
+    for tau in denote_client(client, GAMMA, sigma, BOUNDS).traces:
+        by_hist.setdefault(history_of(tau), []).append(tau)
+    src = (call(1, "push", ram({1: 7})), call(2, "push", ram({2: 8})),
+           ret(1, "push", ram({1: 0})), ret(2, "push", ram({2: 0})))
+    targets = [h for h in by_hist if h != src and linearized_by(src, h) is not None]
+    assert targets
+    rules = set()
+    for kappa in by_hist[src]:
+        for target in targets:
+            out, log = client_rearrange(client, GAMMA, sigma, kappa, target, BOUNDS, debug=True)
+            assert history_of(out) == target
+            rules |= _rules(log)
+    assert rules == CLIENT_RULES
+
+
+# Loses the witness once the first stage is done, which only the debug
+# re-check after that stage can notice when the history has one action.
+_STRIPPED_ASSERTS = """
+import importlib
+from ownlin import corpus, delta
+from ownlin.semantics import denote_client, denote_library, history_of
+
+r = importlib.import_module("ownlin.rearrange")  # the package exports a function of that name
+real = r.linearized_by
+r.linearized_by = lambda h, h2, pin=0: real(h, h2, pin=pin) if pin == 0 else None
+g, b = corpus.gamma_val(), corpus.DEFAULT_BOUNDS
+
+def one_action(d):
+    return min((t for t in d.traces if len(history_of(t)) == 1), key=lambda t: (len(t), repr(t)))
+
+lib, sigma0 = corpus.mini_stack(), next(iter(corpus.MINI_INITIAL))
+client, sigma = corpus.push_pop_client(), next(iter(corpus.CLIENT_INITIAL))
+tau = one_action(denote_library(lib, g, sigma0, b))
+kappa = one_action(denote_client(client, g, sigma, b))
+for run in (lambda: r.rearrange(lib, g, sigma0, tau, history_of(tau), delta(sigma0), b, debug=True),
+            lambda: r.client_rearrange(client, g, sigma, kappa, history_of(kappa), b, debug=True)):
+    try:
+        run()
+        print("no error")
+    except r.ConflictError as exc:
+        print(exc)
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    r = subprocess.run([sys.executable, "-O", "-c", _STRIPPED_ASSERTS],
+                       env=dict(os.environ, PYTHONPATH=src),
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.splitlines() == ["linearization witness lost after stage 0"] * 2

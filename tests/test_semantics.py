@@ -40,11 +40,15 @@ from ownlin.semantics import (
     canonical_cover,
     client_of,
     cover,
+    denote_client,
+    equivalence_key,
     ground,
     history_of,
     lib_of,
     library_trace_member,
 )
+
+from helpers import equivalent_oracle
 
 THREADS = (1, 2)
 
@@ -156,6 +160,17 @@ def test_projections_partition_commands():
     assert c[-1] == CmdAction(1, SKIP)  # the one after the return
     assert [a for a in c if isinstance(a, (PlainCall, PlainRet))] == \
         [PlainCall(1, "m"), PlainRet(1, "m")]
+
+
+def test_equivalence_key_matches_pairwise_oracle():
+    d = denote_client(corpus.push_pop_client(), corpus.gamma_val(),
+                      next(iter(corpus.CLIENT_INITIAL)), Bounds(1, 1, 2, 6))
+    traces = sorted(d.traces | {ground(t) for t in d.traces}, key=lambda t: (len(t), repr(t)))
+    keys = [equivalence_key(t) for t in traces]
+    for a, ka in zip(traces, keys):
+        for b, kb in zip(traces, keys):
+            assert (ka == kb) == equivalent_oracle(a, b), (a, b)
+    assert len(set(keys)) < len(traces)  # some distinct traces are equivalent
 
 
 def test_cover_and_canonical_cover():

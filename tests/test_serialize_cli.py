@@ -136,16 +136,30 @@ def test_cli_dump_interf(corpus_files, capsys):
     assert {"alg": "ram", "locs": [4, 5]} in [e["initial"] for e in payload["entries"]]
 
 
-def test_cli_abstraction(corpus_files, tmp_path, capsys):
+def _client_file(tmp_path) -> str:
     client = Program(Algebra.RAM, client=corpus.push_pop_client(1),
                      gamma=corpus.gamma_val(), initial=frozenset({ram({1: 7})}),
                      universe=corpus.CORPUS_UNIVERSE,
                      bounds=Bounds(1, 1, 1, 12))
     cpath = tmp_path / "client.json"
     serialize.dump_json(serialize.program_to_json(client), str(cpath))
-    code = main(["abstraction", str(cpath), corpus_files["mini_slow"],
+    return str(cpath)
+
+
+def test_cli_abstraction(corpus_files, tmp_path, capsys):
+    code = main(["abstraction", _client_file(tmp_path), corpus_files["mini_slow"],
                  corpus_files["mini"]])
     assert code == 0
+
+
+def test_cli_abstraction_empty_initial_is_an_input_error(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini_slow"])
+    obj["initial"] = []
+    empty = tmp_path / "empty.json"
+    serialize.dump_json(obj, str(empty))
+    code = main(["abstraction", _client_file(tmp_path), str(empty), corpus_files["mini"]])
+    assert code == 2
+    assert "need at least one initial state" in capsys.readouterr().err
 
 
 def _extension_file(tmp_path) -> str:
