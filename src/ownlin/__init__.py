@@ -65,7 +65,6 @@ from .lang import (
     library,
     method_spec,
     prim_step,
-    trace_set,
     validate_transformer,
 )
 from .semantics import (

@@ -249,19 +249,11 @@ class ParamPredicate:
             return self.default
         raise KeyError(f"no predicate for thread {t}")
 
-    def predicates(self, threads: Iterable[int]) -> tuple[Predicate, ...]:
-        return tuple(self.for_thread(t) for t in threads)
-
     @staticmethod
     def from_fn(fn: Callable[[int], Iterable[State]], threads: Iterable[int],
                 algebra: Algebra | None = None) -> "ParamPredicate":
         return ParamPredicate(
             tuple((t, predicate(fn(t), algebra)) for t in threads))
-
-    @staticmethod
-    def const(p: Predicate) -> "ParamPredicate":
-        return ParamPredicate((), p)
-
 
 @dataclass(frozen=True)
 class StateUniverse:

@@ -25,6 +25,7 @@ from .semantics import (
     ground,
     history_of,
     interf,
+    trace_sort_key,
 )
 
 
@@ -155,8 +156,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
     reproducible = {client_of(tau) for _, tau in abstract}
     misses = sorted((client_of(tau) for _, tau in concrete
-                     if client_of(tau) not in reproducible),
-                    key=lambda t: (len(t), repr(t)))
+                     if client_of(tau) not in reproducible), key=trace_sort_key)
     if misses:
         return Verdict(Status.VIOLATED,
                        f"{len(misses)} client projections unreproduced; "
@@ -202,7 +202,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
                            for l in entries_by_history.get(history_of(kappa), ()))}
     targets = (client_of(tau) for _, tau in concrete)
     misses = sorted((t for t in targets if equivalence_key(t) not in reproducible),
-                    key=lambda t: (len(t), repr(t)))
+                    key=trace_sort_key)
     if misses:
         return Verdict(Status.VIOLATED,
                        f"{len(misses)} client projections unreproduced; "

@@ -18,7 +18,7 @@ from .frame import frame_check
 from .history import evaluate_footprint, linearized_by
 from .lang import Bounds
 from .rearrange import rearrange
-from .semantics import denote_library, history_of, interf
+from .semantics import denote_library, history_of, interf, trace_sort_key
 from . import serialize
 
 
@@ -91,7 +91,7 @@ def _cmd_abstraction(args) -> int:
 def _cmd_frame_check(args) -> int:
     prog1 = serialize.load_program(args.concrete)
     prog2 = serialize.load_program(args.abstract)
-    ext = serialize.load_json(args.extension)
+    ext = serialize.expect_json(serialize.load_json(args.extension), dict, "extension")
     algebra = Algebra(ext.get("algebra", prog1.algebra.value))
     gamma = serialize.gamma_from_json(ext["gamma"], algebra)
     gamma_ext = serialize.gamma_from_json(ext["gamma_extended"], algebra)
@@ -143,7 +143,7 @@ def _cmd_dump_interf(args) -> int:
 
 def _cmd_rearrange(args) -> int:
     prog = serialize.load_program(args.library)
-    target = serialize.load_json(args.target)
+    target = serialize.expect_json(serialize.load_json(args.target), dict, "target")
     target_initial = serialize.footprint_from_json(target["initial"])
     target_history = serialize.history_from_json(target["history"])
     bounds = _apply_bound_overrides(prog.bounds, args)
@@ -153,7 +153,7 @@ def _cmd_rearrange(args) -> int:
         if not foot_leq(delta(sigma0), target_initial):
             continue
         d = denote_library(prog.library, prog.gamma, sigma0, bounds)
-        for tau in sorted(d.traces, key=lambda t: (len(t), repr(t))):
+        for tau in sorted(d.traces, key=trace_sort_key):
             if linearized_by(target_history, history_of(tau)) is not None:
                 candidates.append((sigma0, tau))
     if not candidates:

@@ -248,11 +248,6 @@ def plain_stack_program(gamma: MethodSpec | None = None, bounds: Bounds = DEFAUL
                    initial=PLAIN_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)
 
 
-def plain_queue_program(bounds: Bounds = SEQUENTIAL_BOUNDS) -> Program:
-    return Program(Algebra.RAM, library=plain_queue(), gamma=gamma_val(),
-                   initial=PLAIN_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)
-
-
 def client_program(gamma: MethodSpec | None = None, bounds: Bounds = DEFAULT_BOUNDS) -> Program:
     return Program(Algebra.RAM, client=push_pop_client(), gamma=gamma or gamma_val(),
                    initial=CLIENT_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)

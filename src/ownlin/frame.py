@@ -21,6 +21,7 @@ from .semantics import (
     denote_library,
     history_of,
     interf,
+    trace_sort_key,
 )
 from .history import interface_set_leq, LeqReport
 
@@ -83,10 +84,6 @@ def ceil_action(action: InterfaceAction, gamma: MethodSpec) -> InterfaceAction:
     """The extra transferred state beyond the base contract."""
     _, extra = _split(action, gamma)
     return InterfaceAction(action.thread, action.kind, action.method, extra)
-
-
-def floor_history(h: Sequence[InterfaceAction], gamma: MethodSpec) -> History:
-    return tuple(floor_action(a, gamma) for a in h)
 
 
 def ceil_history(h: Sequence[InterfaceAction], gamma: MethodSpec) -> History:
@@ -179,11 +176,24 @@ def check_framed_state_preserved(lib: Library, gamma: MethodSpec, gamma_ext: Met
                 raise UnsafeComponentError(
                     f"library faults under the extended contract at {combined!r}",
                     d.fault_trace)
-            for tau in sorted(d.traces, key=lambda t: (len(t), repr(t))):
+            # the fold reads only the history: fold each one once, then
+            # report the first failing trace in trace order; a history that
+            # does not split counts as failing, and its trace raises below
+            by_history: dict[History, list[Trace]] = {}
+            for tau in d.traces:
+                by_history.setdefault(history_of(tau), []).append(tau)
+            failing: list[Trace] = []
+            for h, taus in by_history.items():
+                try:
+                    if extra_eval(ceil_history(h, gamma), sigma_extra) is TOP:
+                        failing += taus
+                except SplitViolation:
+                    failing += taus
+            if failing:
+                tau = min(failing, key=trace_sort_key)
                 ceil = ceil_history(history_of(tau), gamma)
-                result, index = extra_eval_explain(ceil, sigma_extra)
-                if result is TOP:
-                    return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
+                _, index = extra_eval_explain(ceil, sigma_extra)
+                return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
     return None
 
 

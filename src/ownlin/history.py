@@ -47,14 +47,13 @@ def ret(thread: int, method: str, transferred: State) -> InterfaceAction:
 History = tuple[InterfaceAction, ...]
 
 
-def project_thread(h: Sequence[InterfaceAction], t: int) -> History:
-    return tuple(a for a in h if a.thread == t)
-
-
-def check_well_formed(h: Sequence[InterfaceAction]) -> bool:
-    """Per-thread alternation call/ret over matching methods, starting at a call."""
+def check_well_formed(tau: Iterable) -> bool:
+    """Per-thread alternation call/ret over matching methods, starting at a
+    call.  Reads traces too: actions of no kind (commands) are skipped."""
     open_method: dict[int, str | None] = {}
-    for a in h:
+    for a in tau:
+        if a.kind is None:
+            continue
         current = open_method.get(a.thread)
         if a.kind is Kind.CALL:
             if current is not None:

@@ -10,7 +10,7 @@ semantics module later filters them against states and ownership transfers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Union
 
 from .algebra import (
     Algebra,
@@ -435,57 +435,33 @@ def method_spec(triples: Mapping[str, tuple[ParamPredicate, ParamPredicate]]) ->
 class CmdAction:
     thread: int
     command: PrimCommand
+    kind: ClassVar[None] = None  # not an interface action
 
 
 @dataclass(frozen=True, slots=True)
 class PlainCall:
     thread: int
     method: str
+    kind: ClassVar[Kind] = Kind.CALL
 
 
 @dataclass(frozen=True, slots=True)
 class PlainRet:
     thread: int
     method: str
+    kind: ClassVar[Kind] = Kind.RET
 
 
 Action = Union[CmdAction, PlainCall, PlainRet, InterfaceAction]
 Trace = tuple[Action, ...]
 
 
-def action_thread(a: Action) -> int:
-    return a.thread
-
-
 def is_call(a: Action) -> bool:
-    return isinstance(a, PlainCall) or (isinstance(a, InterfaceAction) and a.kind is Kind.CALL)
-
-
-def is_ret(a: Action) -> bool:
-    return isinstance(a, PlainRet) or (isinstance(a, InterfaceAction) and a.kind is Kind.RET)
+    return a.kind is Kind.CALL
 
 
 def is_interface(a: Action) -> bool:
-    return is_call(a) or is_ret(a)
-
-
-def check_trace_well_formed(tau: Iterable[Action]) -> bool:
-    open_method: dict[int, str | None] = {}
-    for a in tau:
-        if not is_interface(a):
-            continue
-        t = a.thread
-        m = a.method  # type: ignore[union-attr]
-        current = open_method.get(t)
-        if is_call(a):
-            if current is not None:
-                return False
-            open_method[t] = m
-        else:
-            if current is None or current != m:
-                return False
-            open_method[t] = None
-    return True
+    return a.kind is not None
 
 
 @dataclass(frozen=True)
@@ -497,6 +473,14 @@ class Bounds:
     mgc_iters: int = 2
     mgc_threads: int = 2
     max_trace_len: int = 12
+
+    def __post_init__(self):
+        # under a zero client size or a negative bound nothing is explored,
+        # and every check would pass vacuously
+        for name, least in (("star_unroll", 0), ("mgc_iters", 1),
+                            ("mgc_threads", 1), ("max_trace_len", 0)):
+            if (value := getattr(self, name)) < least:
+                raise ValueError(f"bound {name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -658,13 +642,3 @@ def client_trace_set(client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
 
 def library_trace_set(lib: Library, bounds: Bounds) -> frozenset[Trace]:
     return _interleaved_trace_set(_library_threads(lib, bounds), bounds)
-
-
-def trace_set(program: Program, bounds: Bounds | None = None) -> frozenset[Trace]:
-    bounds = bounds or program.bounds
-    kind = program.kind
-    if kind == "complete":
-        return complete_trace_set(program.library, program.client, bounds)
-    if kind == "client":
-        return client_trace_set(program.client, bounds)
-    return library_trace_set(program.library, bounds)

@@ -94,18 +94,17 @@ def eval_action(mode: Mode, action, s: State):
     gamma = mode.gamma
     if action.method not in gamma:
         raise KeyError(f"method {action.method!r} not in the specification")
-    call = isinstance(action, PlainCall)
-    kind = Kind.CALL if call else Kind.RET
+    call = action.kind is Kind.CALL
     pred = (gamma.pre if call else gamma.post)(action.method).for_thread(action.thread)
     if call == isinstance(mode, LibraryLocal):
-        return tuple((combined, InterfaceAction(action.thread, kind, action.method, piece))
+        return tuple((combined, InterfaceAction(action.thread, action.kind, action.method, piece))
                      for piece in pred.sorted_states()
                      if (combined := star(s, piece)) is not None)
     split = sub_pred(s, pred)
     if split is None:
         return TOP
     rest, piece = split
-    return ((rest, InterfaceAction(action.thread, kind, action.method, piece)),)
+    return ((rest, InterfaceAction(action.thread, action.kind, action.method, piece)),)
 
 
 @dataclass(frozen=True)
@@ -197,27 +196,23 @@ def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, 
     return tuple(_Trie.of(ts) for ts in _client_threads(client, bounds))
 
 
-@lru_cache(maxsize=64)
 def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
     return _denote(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma, bounds)
 
 
-@lru_cache(maxsize=64)
 def denote_client(client: ClientProgram, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
     return _denote(ClientLocal(gamma), _client_thread_tries(client, bounds), sigma, bounds)
 
 
-@lru_cache(maxsize=64)
 def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: Bounds) -> Denotation:
     tries = tuple(_Trie.of(ts) for ts in _complete_threads(lib, client, bounds))
     return _denote(COMPLETE, tries, sigma, bounds)
 
 
 def clear_caches() -> None:
-    """Drop the memoised denotations and per-thread tries."""
-    for cached in (denote_library, denote_client, denote_complete,
-                   _library_thread_tries, _client_thread_tries):
-        cached.cache_clear()
+    """Drop the memoised per-thread tries."""
+    _library_thread_tries.cache_clear()
+    _client_thread_tries.cache_clear()
 
 
 def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -> Denotation:
@@ -228,10 +223,6 @@ def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -
     if kind == "library":
         return denote_library(program.library, program.gamma, sigma, bounds)
     return denote_client(program.client, program.gamma, sigma, bounds)
-
-
-def is_safe(program: Program, states: Iterable[State], bounds: Bounds | None = None) -> bool:
-    return all(not eval_program(program, s, bounds).faulted for s in states)
 
 
 def denotation_pairs(program: Program, states: Iterable[State],
@@ -252,6 +243,11 @@ def denotation_pairs(program: Program, states: Iterable[State],
 
 def history_of(tau: Trace) -> History:
     return tuple(a for a in tau if isinstance(a, InterfaceAction))
+
+
+def trace_sort_key(tau: Trace) -> tuple:
+    """The order in which traces are reported: shorter first, then by text."""
+    return (len(tau), repr(tau))
 
 
 def ground_action(a):
@@ -286,13 +282,10 @@ def _split_actions(tau: Trace) -> tuple[Trace, Trace]:
             client.append(a)
             lib.append(a)
             inside[a.thread] = is_call(a)
-        elif isinstance(a, CmdAction):
-            if inside.get(a.thread, False):
-                lib.append(a)
-            else:
-                client.append(a)
-        else:  # pragma: no cover - exhaustive over action kinds
-            raise TypeError(f"not an action: {a!r}")
+        elif inside.get(a.thread, False):
+            lib.append(a)
+        else:
+            client.append(a)
     return tuple(client), tuple(lib)
 
 
@@ -322,25 +315,6 @@ def _segments(tau: Trace) -> list[Trace]:
             cur.append(a)
     segs.append(tuple(cur))
     return segs
-
-
-def canonical_cover(kappa: Trace, lam: Trace) -> Trace:
-    """One merge of history-matching local traces: per gap, client commands
-    first, library commands after.  Any valid merge would do; this one is the
-    deterministic choice the composition checks report."""
-    h = history_of(kappa)
-    if h != history_of(lam):
-        raise ValueError("histories differ")
-    csegs = _segments(kappa)
-    lsegs = _segments(lam)
-    out: list = []
-    for k, psi in enumerate(h):
-        out.extend(csegs[k])
-        out.extend(lsegs[k])
-        out.append(ground_action(psi))
-    out.extend(csegs[-1])
-    out.extend(lsegs[-1])
-    return tuple(out)
 
 
 def all_covers(kappa: Trace, lam: Trace) -> Iterator[Trace]:

@@ -48,12 +48,13 @@ from .lang import (
 )
 
 
-def _alg_tag(algebra: Algebra) -> str:
-    return algebra.value
-
-
-def _alg_from(tag: str) -> Algebra:
-    return Algebra(tag)
+def expect_json(value, kind: type, field: str):
+    """``value`` when it is a JSON object (``dict``) or array (``list``) as
+    ``kind`` asks; a wrong shape is an input error naming the field."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{field}: expected a JSON {'object' if kind is dict else 'array'}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def state_to_json(s: State) -> dict:
@@ -61,11 +62,12 @@ def state_to_json(s: State) -> dict:
         cells = {str(loc): val for loc, val in s.cells}
     else:
         cells = {str(loc): [val, str(perm)] for loc, (val, perm) in s.cells}
-    return {"alg": _alg_tag(s.algebra), "cells": cells}
+    return {"alg": s.algebra.value, "cells": cells}
 
 
 def state_from_json(obj: Mapping) -> State:
-    alg = _alg_from(obj["alg"])
+    expect_json(obj, dict, "state")
+    alg = Algebra(obj["alg"])
     if alg is Algebra.RAM:
         cells = {int(loc): int(val) for loc, val in obj["cells"].items()}
         return State(alg, cells)
@@ -75,7 +77,7 @@ def state_from_json(obj: Mapping) -> State:
 
 def footprint_to_json(l: Footprint) -> dict:
     if l.algebra is Algebra.RAM:
-        return {"alg": _alg_tag(l.algebra), "locs": list(l.entries)}
+        return {"alg": l.algebra.value, "locs": list(l.entries)}
     cells: dict[str, Any] = {}
     for loc, payload in l.entries:
         if payload == Full:
@@ -83,11 +85,12 @@ def footprint_to_json(l: Footprint) -> dict:
         else:
             perm, val = payload
             cells[str(loc)] = {"perm": str(perm), "val": val}
-    return {"alg": _alg_tag(l.algebra), "cells": cells}
+    return {"alg": l.algebra.value, "cells": cells}
 
 
 def footprint_from_json(obj: Mapping) -> Footprint:
-    alg = _alg_from(obj["alg"])
+    expect_json(obj, dict, "footprint")
+    alg = Algebra(obj["alg"])
     if alg is Algebra.RAM:
         return Footprint(alg, [int(x) for x in obj["locs"]])
     entries = []
@@ -105,6 +108,7 @@ def action_to_json(a: InterfaceAction) -> dict:
 
 
 def action_from_json(obj: Mapping) -> InterfaceAction:
+    expect_json(obj, dict, "interface action")
     return InterfaceAction(int(obj["t"]), Kind(obj["k"]), obj["m"],
                            state_from_json(obj["s"]))
 
@@ -114,32 +118,7 @@ def history_to_json(h: History) -> list:
 
 
 def history_from_json(arr: list) -> History:
-    return tuple(action_from_json(o) for o in arr)
-
-
-def trace_action_to_json(a) -> dict:
-    from .lang import CmdAction, PlainCall, PlainRet
-    if isinstance(a, InterfaceAction):
-        return action_to_json(a)
-    if isinstance(a, PlainCall):
-        return {"t": a.thread, "k": "call", "m": a.method}
-    if isinstance(a, PlainRet):
-        return {"t": a.thread, "k": "ret", "m": a.method}
-    if isinstance(a, CmdAction):
-        return {"t": a.thread, "cmd": prim_to_json(a.command)}
-    raise TypeError(f"not an action: {a!r}")
-
-
-def trace_to_json(tau) -> list:
-    return [trace_action_to_json(a) for a in tau]
-
-
-def denotation_to_json(d) -> dict:
-    """Export a component denotation for diffing; traces sorted canonically."""
-    if d.faulted:
-        return {"faulted": True, "fault_trace": trace_to_json(d.fault_trace or ())}
-    traces = sorted(d.traces, key=lambda t: (len(t), repr(t)))
-    return {"faulted": False, "traces": [trace_to_json(t) for t in traces]}
+    return tuple(action_from_json(o) for o in expect_json(arr, list, "history"))
 
 
 def interface_set_to_json(hs: InterfaceSet) -> dict:
@@ -279,6 +258,7 @@ def gamma_to_json(gamma: MethodSpec) -> dict:
 
 
 def gamma_from_json(obj: Mapping, algebra: Algebra) -> MethodSpec:
+    expect_json(obj, dict, "gamma")
     return method_spec({
         m: (_param_pred_from_json(spec["pre"], algebra),
             _param_pred_from_json(spec["post"], algebra))
@@ -292,6 +272,7 @@ def bounds_to_json(b: Bounds) -> dict:
 
 
 def bounds_from_json(obj: Mapping) -> Bounds:
+    expect_json(obj, dict, "bounds")
     base = Bounds()
     return Bounds(
         star_unroll=int(obj.get("star", base.star_unroll)),
@@ -308,6 +289,7 @@ def universe_to_json(u: StateUniverse) -> dict:
 
 
 def universe_from_json(obj: Mapping) -> StateUniverse:
+    expect_json(obj, dict, "universe")
     base = StateUniverse()
     return StateUniverse(
         locations=tuple(int(x) for x in obj.get("locations", base.locations)),
@@ -318,7 +300,7 @@ def universe_from_json(obj: Mapping) -> StateUniverse:
 
 
 def program_to_json(p: Program) -> dict:
-    out: dict[str, Any] = {"algebra": _alg_tag(p.algebra)}
+    out: dict[str, Any] = {"algebra": p.algebra.value}
     if p.library is not None:
         out["library"] = {m: command_to_json(p.library.body(m))
                           for m in p.library.method_names}
@@ -332,8 +314,12 @@ def program_to_json(p: Program) -> dict:
     return out
 
 
-def program_from_json(obj: Mapping, *, validate: bool = True) -> Program:
-    algebra = _alg_from(obj["algebra"])
+def program_from_json(obj: Mapping) -> Program:
+    expect_json(obj, dict, "program")
+    for field, kind in (("library", dict), ("client", list), ("initial", list)):
+        if field in obj:
+            expect_json(obj[field], kind, field)
+    algebra = Algebra(obj["algebra"])
     lib = None
     if "library" in obj:
         lib = library({m: command_from_json(c) for m, c in obj["library"].items()})
@@ -351,7 +337,7 @@ def program_from_json(obj: Mapping, *, validate: bool = True) -> Program:
         universe=universe,
         bounds=bounds_from_json(obj.get("bounds", {})),
     )
-    if validate and gamma is not None:
+    if gamma is not None:
         gamma.check_precise(universe)
     return program
 

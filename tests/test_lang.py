@@ -1,6 +1,6 @@
 import pytest
 
-from ownlin import Algebra, StateUniverse, expr_eval, prim_step, ram, ram_pi, validate_transformer
+from ownlin import StateUniverse, expr_eval, prim_step, ram, ram_pi, validate_transformer
 from ownlin.lang import (
     Add,
     Assume,
@@ -15,14 +15,12 @@ from ownlin.lang import (
     PlainCall,
     PlainRet,
     Prim,
-    Program,
     SKIP,
     Seq,
     Star,
     TID,
     TOP,
     assume,
-    check_trace_well_formed,
     client_trace_set,
     complete_trace_set,
     conditional_cell_writer,
@@ -33,8 +31,8 @@ from ownlin.lang import (
     neighbour_dependent_writer,
     seq,
     store,
-    trace_set,
 )
+from ownlin.history import check_well_formed
 
 UNIVERSE = StateUniverse()
 
@@ -142,9 +140,13 @@ def test_trace_set_well_formed_and_prefix_closed():
     bounds = Bounds(star_unroll=1, mgc_iters=2, mgc_threads=2, max_trace_len=7)
     ts = library_trace_set(lib, bounds)
     for tau in ts:
-        assert check_trace_well_formed(tau)
+        assert check_well_formed(tau)
         assert tau[:-1] in ts or not tau
         assert len(tau) <= bounds.max_trace_len
+    # commands are skipped; ground calls and returns must alternate per thread
+    assert not check_well_formed((PlainRet(1, "m"),))
+    assert not check_well_formed((PlainCall(1, "m"), CmdAction(1, SKIP), PlainCall(1, "n")))
+    assert not check_well_formed((PlainCall(1, "m"), PlainRet(1, "n")))
 
 
 def test_trace_set_monotone_in_bounds():
@@ -158,20 +160,23 @@ def test_trace_set_monotone_in_bounds():
     assert library_trace_set(lib, Bounds(1, 1, 1, 8)) <= more_iters
 
 
+def test_bounds_reject_degenerate_values():
+    for bad in ({"star_unroll": -1}, {"mgc_iters": 0}, {"mgc_threads": 0},
+                {"max_trace_len": -1}):
+        with pytest.raises(ValueError, match=f"bound {next(iter(bad))} must be at least"):
+            Bounds(**bad)
+    Bounds(star_unroll=0, mgc_iters=1, mgc_threads=1, max_trace_len=0)
+
+
 def test_star_unrolling_bound():
     c = Star(Prim(SKIP))
     ts = client_trace_set(ClientProgram((c,)), Bounds(3, 1, 1, 10))
     assert max(len(t) for t in ts) == 3
 
 
-def test_trace_set_dispatch_on_program_kind():
+def test_open_client_runs_methods_as_empty_bodies():
     lib = library({"m": Prim(SKIP)})
     client = ClientProgram((CallMethod("m"),))
-    complete = Program(Algebra.RAM, library=lib, client=client)
-    open_lib = Program(Algebra.RAM, library=lib)
-    open_client = Program(Algebra.RAM, client=client)
-    assert trace_set(complete, B1) == complete_trace_set(lib, client, B1)
-    assert trace_set(open_lib, B1) == library_trace_set(lib, B1)
-    assert trace_set(open_client, B1) == client_trace_set(client, B1)
-    # the open client runs methods as empty bodies
-    assert (PlainCall(1, "m"), PlainRet(1, "m")) in trace_set(open_client, B1)
+    assert (PlainCall(1, "m"), PlainRet(1, "m")) in client_trace_set(client, B1)
+    assert (PlainCall(1, "m"), CmdAction(1, SKIP), PlainRet(1, "m")) in \
+        complete_trace_set(lib, client, B1)

@@ -37,7 +37,6 @@ from ownlin.lang import (
 )
 from ownlin.semantics import (
     all_covers,
-    canonical_cover,
     client_of,
     cover,
     denote_client,
@@ -173,15 +172,14 @@ def test_equivalence_key_matches_pairwise_oracle():
     assert len(set(keys)) < len(traces)  # some distinct traces are equivalent
 
 
-def test_cover_and_canonical_cover():
+def test_cover_and_all_covers():
     psi_c = InterfaceAction(1, Kind.CALL, "m", ram({10: 0}))
     psi_r = InterfaceAction(1, Kind.RET, "m", ram({10: 0}))
     kappa = (CmdAction(2, SKIP), psi_c, psi_r)
     lam = (psi_c, CmdAction(1, SKIP), psi_r)
-    tau = canonical_cover(kappa, lam)
-    assert cover(tau, kappa, lam)
     covers = set(all_covers(kappa, lam))
-    assert tau in covers
+    assert (CmdAction(2, SKIP), PlainCall(1, "m"), CmdAction(1, SKIP),
+            PlainRet(1, "m")) in covers
     for t in covers:
         assert cover(t, kappa, lam)
     assert ground(kappa) == (CmdAction(2, SKIP), PlainCall(1, "m"), PlainRet(1, "m"))

@@ -53,24 +53,23 @@ def test_program_loader_checks_precision():
         serialize.program_from_json(obj)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("library", []), ("client", {"a": 1}), ("gamma", []), ("initial", "one state"),
+    ("universe", []), ("bounds", []),
+])
+def test_program_loader_names_a_field_of_the_wrong_shape(field, value):
+    obj = serialize.program_to_json(corpus.client_program())
+    obj[field] = value
+    with pytest.raises(ValueError, match=f"^{field}: expected a JSON"):
+        serialize.program_from_json(obj)
+
+
 def test_interface_set_round_trip():
     from ownlin.semantics import interf
     hs = interf(corpus.mini_stack(), corpus.gamma_val(), corpus.MINI_INITIAL,
                 Bounds(1, 1, 1, 8))
     obj = serialize.interface_set_to_json(hs)
     assert serialize.interface_set_from_json(obj) == hs
-
-
-def test_denotation_export():
-    from ownlin.semantics import denote_library
-    sigma0 = next(iter(corpus.MINI_INITIAL))
-    d = denote_library(corpus.mini_stack(), corpus.gamma_val(), sigma0,
-                       Bounds(1, 1, 1, 6))
-    obj = serialize.denotation_to_json(d)
-    assert obj["faulted"] is False
-    assert [] in obj["traces"]
-    again = serialize.denotation_to_json(d)
-    assert serialize.dump_json(obj) == serialize.dump_json(again)
 
 
 @pytest.fixture()
@@ -82,6 +81,9 @@ def corpus_files(tmp_path):
                          gamma=corpus.gamma_val(), initial=corpus.MINI_INITIAL,
                          universe=corpus.CORPUS_UNIVERSE, bounds=small)),
         ("mini_slow", Program(Algebra.RAM, library=corpus.mini_stack_slow(),
+                              gamma=corpus.gamma_val(), initial=corpus.MINI_INITIAL,
+                              universe=corpus.CORPUS_UNIVERSE, bounds=small)),
+        ("scribbler", Program(Algebra.RAM, library=corpus.mini_stack_scribbler(),
                               gamma=corpus.gamma_val(), initial=corpus.MINI_INITIAL,
                               universe=corpus.CORPUS_UNIVERSE, bounds=small)),
         ("queue", Program(Algebra.RAM, library=corpus.plain_queue(),
@@ -191,22 +193,29 @@ def test_cli_contract_not_covering_a_thread(corpus_files, tmp_path, capsys):
     assert "thread 3" in capsys.readouterr().err
 
 
-def test_cli_rearrange(corpus_files, tmp_path, capsys):
+_TARGET_HISTORY = (
+    call(1, "push", ram({1: 7})),
+    call(2, "pop", ram({2: 0})),
+    ret(1, "push", ram({1: 0})),
+)
+
+
+def _target_file(tmp_path) -> str:
     target = {
         "initial": serialize.footprint_to_json(
             delta(next(iter(corpus.MINI_INITIAL)))),
-        "history": serialize.history_to_json((
-            call(1, "push", ram({1: 7})),
-            call(2, "pop", ram({2: 0})),
-            ret(1, "push", ram({1: 0})),
-        )),
+        "history": serialize.history_to_json(_TARGET_HISTORY),
     }
     tpath = tmp_path / "target.json"
     serialize.dump_json(target, str(tpath))
-    code = main(["rearrange", corpus_files["mini"], str(tpath), "--explain"])
+    return str(tpath)
+
+
+def test_cli_rearrange(corpus_files, tmp_path, capsys):
+    code = main(["rearrange", corpus_files["mini"], _target_file(tmp_path), "--explain"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["result_history"] == target["history"]
+    assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
     assert "log" in payload
 
 
@@ -222,3 +231,45 @@ def test_cli_bound_overrides(corpus_files, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(len(e["history"]) <= 6 for e in payload["entries"])
+
+
+def test_cli_rearrange_target_of_the_wrong_shape(corpus_files, tmp_path, capsys):
+    tpath = tmp_path / "target.json"
+    serialize.dump_json(serialize.history_to_json(_TARGET_HISTORY), str(tpath))
+    assert main(["rearrange", corpus_files["mini"], str(tpath)]) == 2
+    assert "error: target: expected a JSON object, got list" in capsys.readouterr().err
+
+
+def test_cli_program_file_holding_a_list(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    serialize.dump_json([], str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert "error: program: expected a JSON object, got list" in capsys.readouterr().err
+
+
+def test_cli_program_whose_initial_is_a_string(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"] = "[4:0, 5:0]"
+    path = tmp_path / "bad_initial.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert "error: initial: expected a JSON array, got str" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--max-trace", "-1"], ["--mgc-threads", "0"]])
+def test_cli_degenerate_bound_flags(corpus_files, flags, capsys):
+    assert main(flags + ["check-lin", corpus_files["mini_slow"], corpus_files["mini"]]) == 2
+    captured = capsys.readouterr()
+    assert "holds-at-bounds" not in captured.out
+    assert "error: bound " in captured.err
+
+
+def test_cli_degenerate_bound_in_a_program_file(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini_slow"])
+    obj["bounds"]["max_trace_len"] = -3
+    path = tmp_path / "negative.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["check-lin", str(path), corpus_files["mini"]]) == 2
+    captured = capsys.readouterr()
+    assert "holds-at-bounds" not in captured.out
+    assert "error: bound max_trace_len must be at least 0, got -3" in captured.err
