@@ -8,6 +8,7 @@ out the histories that treat ownership consistently.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -115,54 +116,69 @@ def _order_constrained(a: InterfaceAction, b: InterfaceAction) -> bool:
 
 def linearized_by(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
                   *, pin: int = 0) -> Optional[LinWitness]:
-    """Deterministic backtracking search for a linearization witness.
+    """The lexicographically least linearization witness, or ``None``.
 
     Maps indices of ``h`` left to right to the smallest unused index of an
-    equal action in ``h2`` that violates no order constraint, backtracking on
-    dead ends.  ``pin`` forces the witness to be the identity on the first
-    ``pin`` indices.
+    equal action in ``h2`` that keeps every order constraint with the indices
+    already mapped, backtracking on dead ends; the first complete mapping is
+    therefore the least valid one.  ``pin`` forces the witness to be the
+    identity on the first ``pin`` indices.  The search keeps its own stack
+    of candidate positions, so no history is too long for it.
     """
     n = len(h)
     if n != len(h2):
         return None
-    if Counter(h) != Counter(h2):
+    positions: dict[InterfaceAction, list[int]] = {}
+    for k, a in enumerate(h2):
+        positions.setdefault(a, []).append(k)
+    # equal actions share one list of positions in h2, and the histories
+    # hold the same actions when no list is wanted more often than it is long
+    cand = [positions.get(a, ()) for a in h]
+    wanted = Counter(map(id, cand))
+    if any(wanted[id(ks)] > len(ks) for ks in cand):
         return None
-    h = tuple(h)
-    h2 = tuple(h2)
-    constrained = [
-        [j for j in range(i + 1, n) if _order_constrained(h[i], h[j])]
-        for i in range(n)
-    ]
-    assigned: list[int] = []
+    for i in range(min(pin, n)):
+        cand[i] = (i,) if h2[i] == h[i] else ()
+    # before[i]: the nearest earlier indices that must stay before i -- the
+    # previous action of its thread and, for a call, the last return of each
+    # other thread; every other constraint on i follows by transitivity
+    before: list[list[int]] = []
+    last: dict[int, int] = {}
+    last_ret: dict[int, int] = {}
+    for i, a in enumerate(h):
+        b = [last[a.thread]] if a.thread in last else []
+        if a.kind is Kind.CALL:
+            b += [r for t, r in last_ret.items() if t != a.thread]
+        before.append(b)
+        last[a.thread] = i
+        if a.kind is Kind.RET:
+            last_ret[a.thread] = i
+
+    assigned = [-1] * n
     used = [False] * n
-
-    def feasible(i: int, k: int) -> bool:
-        if h2[k] != h[i]:
-            return False
-        for ip in range(i):
-            if assigned[ip] > k and i in constrained[ip]:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == n:
-            return True
-        start = i if i < pin else 0
-        stop = i + 1 if i < pin else n
-        for k in range(start, stop):
-            if used[k] or not feasible(i, k):
-                continue
-            used[k] = True
-            assigned.append(k)
-            if search(i + 1):
-                return True
-            assigned.pop()
-            used[k] = False
-        return False
-
-    if search(0):
-        return LinWitness(tuple(assigned))
-    return None
+    # nxt[i]: where in cand[i] the next candidate for i is; an index is
+    # entered past the candidates its constraints rule out (index 0 has none)
+    nxt = [0] * n
+    i = 0
+    while i < n:
+        ks = cand[i]
+        j = nxt[i]
+        while j < len(ks) and used[ks[j]]:
+            j += 1
+        if j < len(ks):
+            nxt[i] = j + 1
+            assigned[i] = ks[j]
+            used[ks[j]] = True
+            i += 1
+            if i < n:
+                floor = max((assigned[ip] for ip in before[i]), default=-1)
+                nxt[i] = bisect_right(cand[i], floor)
+        else:
+            if i == 0:
+                return None
+            i -= 1
+            used[assigned[i]] = False
+    return LinWitness(tuple(assigned))
 
 
 def check_witness(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
@@ -239,14 +255,33 @@ class LeqReport:
         return tuple(e for e in self.entries if e.matched is None)
 
 
+def _multiset(h: History) -> frozenset:
+    """The actions of ``h`` with their counts: equal exactly when two
+    histories hold the same actions."""
+    return frozenset(Counter(h).items())
+
+
 def interface_set_leq(a: InterfaceSet, b: InterfaceSet) -> LeqReport:
-    """Every entry of ``a`` linearized by some entry of ``b``, with witnesses."""
+    """Every entry of ``a`` linearized by some entry of ``b``, with witnesses.
+
+    The entries of ``b`` are bucketed once by their action multiset, in
+    ``sorted_entries()`` order within each bucket.  An entry of ``a`` is
+    tried only against its own bucket, since a history is linearized only by
+    one with the same actions; the first match, and so the report, is the
+    one a scan of all of ``b`` in that order would find.  Two non-empty sets
+    over different algebras are not comparable (``ValueError``).
+    """
+    left, right = a.sorted_entries(), b.sorted_entries()
+    if left and right and left[0].initial.algebra is not right[0].initial.algebra:
+        raise ValueError("mixed algebras")
+    buckets: dict[frozenset, list[BalancedHistory]] = {}
+    for other in right:
+        buckets.setdefault(_multiset(other.history), []).append(other)
     results = []
-    candidates = b.sorted_entries()
-    for entry in a.sorted_entries():
+    for entry in left:
         found = None
         witness = None
-        for other in candidates:
+        for other in buckets.get(_multiset(entry.history), ()):
             if not foot_leq(other.initial, entry.initial):
                 continue
             w = linearized_by(entry.history, other.history)

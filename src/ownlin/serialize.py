@@ -68,11 +68,10 @@ def state_to_json(s: State) -> dict:
 def state_from_json(obj: Mapping) -> State:
     expect_json(obj, dict, "state")
     alg = Algebra(obj["alg"])
+    cells = expect_json(obj["cells"], dict, "cells")
     if alg is Algebra.RAM:
-        cells = {int(loc): int(val) for loc, val in obj["cells"].items()}
-        return State(alg, cells)
-    cells_pi = {int(loc): (int(v), Fraction(p)) for loc, (v, p) in obj["cells"].items()}
-    return State(alg, cells_pi)
+        return State(alg, {int(loc): int(val) for loc, val in cells.items()})
+    return State(alg, {int(loc): (int(v), Fraction(p)) for loc, (v, p) in cells.items()})
 
 
 def footprint_to_json(l: Footprint) -> dict:
@@ -92,9 +91,9 @@ def footprint_from_json(obj: Mapping) -> Footprint:
     expect_json(obj, dict, "footprint")
     alg = Algebra(obj["alg"])
     if alg is Algebra.RAM:
-        return Footprint(alg, [int(x) for x in obj["locs"]])
+        return Footprint(alg, [int(x) for x in expect_json(obj["locs"], list, "locs")])
     entries = []
-    for loc, payload in obj["cells"].items():
+    for loc, payload in expect_json(obj["cells"], dict, "cells").items():
         if payload == "full":
             entries.append((int(loc), Full))
         else:
@@ -129,9 +128,13 @@ def interface_set_to_json(hs: InterfaceSet) -> dict:
 
 
 def interface_set_from_json(obj: Mapping) -> InterfaceSet:
-    return interface_set(
-        BalancedHistory(footprint_from_json(e["initial"]), history_from_json(e["history"]))
-        for e in obj["entries"])
+    expect_json(obj, dict, "interface set")
+    entries = []
+    for e in expect_json(obj["entries"], list, "entries"):
+        expect_json(e, dict, "interface set entry")
+        entries.append(BalancedHistory(footprint_from_json(e["initial"]),
+                                       history_from_json(e["history"])))
+    return interface_set(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +242,12 @@ def _param_pred_to_json(p: ParamPredicate) -> dict:
     return out
 
 
-def _param_pred_from_json(obj: Mapping, algebra: Algebra) -> ParamPredicate:
+def _param_pred_from_json(obj: Mapping, algebra: Algebra, field: str) -> ParamPredicate:
     entries = []
     default = None
-    for key, states in obj.items():
-        pred = predicate([state_from_json(s) for s in states], algebra)
+    for key, states in expect_json(obj, dict, field).items():
+        pred = predicate([state_from_json(s) for s in expect_json(states, list, f"{field} {key}")],
+                         algebra)
         if key == "*":
             default = pred
         else:
@@ -259,11 +263,12 @@ def gamma_to_json(gamma: MethodSpec) -> dict:
 
 def gamma_from_json(obj: Mapping, algebra: Algebra) -> MethodSpec:
     expect_json(obj, dict, "gamma")
-    return method_spec({
-        m: (_param_pred_from_json(spec["pre"], algebra),
-            _param_pred_from_json(spec["post"], algebra))
-        for m, spec in obj.items()
-    })
+    triples = {}
+    for m, spec in obj.items():
+        expect_json(spec, dict, f"gamma {m}")
+        triples[m] = tuple(_param_pred_from_json(spec[part], algebra, f"gamma {m} {part}")
+                           for part in ("pre", "post"))
+    return method_spec(triples)
 
 
 def bounds_to_json(b: Bounds) -> dict:

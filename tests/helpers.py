@@ -13,8 +13,8 @@ from collections import Counter, defaultdict
 from itertools import permutations
 
 from ownlin.algebra import ParamPredicate, State, star
-from ownlin.footprint import delta, foot_add
-from ownlin.history import Kind, call, ret
+from ownlin.footprint import delta, foot_add, foot_leq
+from ownlin.history import Kind, LeqEntry, LeqReport, call, linearized_by, ret
 from ownlin.lang import (
     Assume,
     Bounds,
@@ -87,6 +87,22 @@ def all_witnesses_bruteforce(h, h2):
 
 def linearized_by_bruteforce(h, h2) -> bool:
     return next(iter(all_witnesses_bruteforce(h, h2)), None) is not None
+
+
+def interface_set_leq_oracle(a, b) -> LeqReport:
+    """Every entry of ``a`` against every entry of ``b`` in ``sorted_entries()``
+    order, footprint first, then the witness search; the first match wins."""
+    results = []
+    for entry in a.sorted_entries():
+        found = witness = None
+        for other in b.sorted_entries():
+            if foot_leq(other.initial, entry.initial):
+                w = linearized_by(entry.history, other.history)
+                if w is not None:
+                    found, witness = other, w
+                    break
+        results.append(LeqEntry(entry, found, witness))
+    return LeqReport(all(r.matched is not None for r in results), tuple(results))
 
 
 def equivalent_oracle(a, b) -> bool:

@@ -4,10 +4,14 @@ from collections import Counter
 import pytest
 
 from ownlin import (
+    Algebra,
     BalancedHistory,
+    LinWitness,
+    State,
     balanced_linearized_by,
     call,
     check_well_formed,
+    empty_foot,
     evaluate_footprint,
     interface_set,
     interface_set_leq,
@@ -18,10 +22,13 @@ from ownlin import (
     ram_foot,
     ret,
 )
-from ownlin.history import check_witness
+from ownlin.history import _multiset, check_witness
 
 from helpers import (
     EMPTY,
+    all_witnesses_bruteforce,
+    delinearize,
+    interface_set_leq_oracle,
     linearized_by_bruteforce,
     random_history,
     thread_order_shuffle,
@@ -137,6 +144,87 @@ def test_backtracking_agrees_with_bruteforce_random():
         assert (got is not None) == want
         if got is not None:
             assert check_witness(h, h2, got)
+
+
+def test_linearized_by_long_history_needs_no_recursion():
+    h = ()
+    for _ in range(700):
+        h += (call(1, "m", EMPTY), ret(1, "m", EMPTY))
+    assert linearized_by(h, h) == LinWitness(tuple(range(1400)))
+
+
+def test_witness_is_the_least_valid_mapping():
+    rng = random.Random(41)
+    outcomes = Counter()
+    for _ in range(400):
+        if rng.random() < 0.5:  # many equal actions: few threads, one method
+            h = random_history(rng, rng.randrange(0, 9), threads=(1, 2),
+                               methods=("a",), states=(EMPTY,))
+        else:
+            h = random_history(rng, rng.randrange(0, 8))
+        cut = rng.randrange(0, len(h) + 1)
+        h2 = h[:cut] + (thread_order_shuffle(rng, h[cut:]) if rng.random() < 0.5
+                        else delinearize(rng, h[cut:], 4))
+        if rng.random() < 0.5:
+            h, h2 = h2, h
+        every = list(all_witnesses_bruteforce(h, h2))
+        got = linearized_by(h, h2)
+        assert got == (LinWitness(min(every)) if every else None)
+        pin = rng.randrange(1, len(h) + 2)
+        pinned = [m for m in every if m[:pin] == tuple(range(min(pin, len(h))))]
+        assert linearized_by(h, h2, pin=pin) == (LinWitness(min(pinned)) if pinned else None)
+        outcomes[bool(every), bool(pinned)] += 1
+    # no witness; a witness the pin keeps; a witness the pin rules out
+    assert outcomes[False, False] and outcomes[True, True] and outcomes[True, False]
+
+
+def _random_entries(rng, count, feet):
+    out = []
+    while len(out) < count:
+        h = random_history(rng, rng.randrange(0, 7), threads=(1, 2), methods=("a",),
+                           states=(EMPTY, EMPTY, C10))
+        initial = rng.choice(feet)
+        if is_balanced(h, initial):
+            out.append(BalancedHistory(initial, h))
+    return out
+
+
+def test_bucketed_leq_equals_a_nested_scan():
+    # ram_foot([10]) and ram_foot([11]) are incomparable footprints
+    feet = (ram_foot(), ram_foot([10]), ram_foot([11]), ram_foot([10, 11]))
+    rng = random.Random(43)
+    matched = unmatched = 0
+    for _ in range(60):
+        right = _random_entries(rng, rng.randrange(0, 12), feet)
+        right.append(BalancedHistory(rng.choice(feet), ()))
+        left = _random_entries(rng, rng.randrange(0, 4), feet)
+        for origin in right:  # same actions as a right entry, in other orders
+            h = (thread_order_shuffle(rng, origin.history) if rng.random() < 0.5
+                 else delinearize(rng, origin.history, 3))
+            initial = rng.choice(feet)
+            if is_balanced(h, initial):
+                left.append(BalancedHistory(initial, h))
+        a, b = interface_set(left), interface_set(right)
+        report = interface_set_leq(a, b)
+        assert report == interface_set_leq_oracle(a, b)
+        assert interface_set_leq(b, a) == interface_set_leq_oracle(b, a)
+        matched += len(report.entries) - len(report.failures())
+        unmatched += len(report.failures())
+    assert matched and unmatched
+
+
+def test_leq_keys_actions_exactly_and_rejects_mixed_algebras():
+    ram_empty, pi_empty = State(Algebra.RAM, {}), State(Algebra.RAM_PI, {})
+    assert ram_empty.sort_key() == pi_empty.sort_key()  # a sort key would tie
+    h_ram, h_pi = (call(1, "a", ram_empty),), (call(1, "a", pi_empty),)
+    assert _multiset(h_ram) != _multiset(h_pi)
+    ram_side = interface_set([BalancedHistory(ram_foot(), h_ram)])
+    pi_side = interface_set([BalancedHistory(empty_foot(Algebra.RAM_PI), h_pi)])
+    for a, b in ((ram_side, pi_side), (pi_side, ram_side)):
+        with pytest.raises(ValueError, match="mixed algebras"):
+            interface_set_leq_oracle(a, b)
+        with pytest.raises(ValueError, match="mixed algebras"):
+            interface_set_leq(a, b)
 
 
 def test_balanced_linearized_by():

@@ -64,6 +64,36 @@ def test_program_loader_names_a_field_of_the_wrong_shape(field, value):
         serialize.program_from_json(obj)
 
 
+@pytest.mark.parametrize("path, value, field", [
+    (("initial", 0, "cells"), [], "cells"),
+    (("gamma", "push"), [], "gamma push"),
+    (("gamma", "push", "pre"), [], "gamma push pre"),
+    (("gamma", "pop", "post"), "none", "gamma pop post"),
+    (("gamma", "push", "post", "1"), {"alg": "ram", "cells": {}}, "gamma push post 1"),
+    (("gamma", "pop", "pre", "2", 0, "cells"), [[2, 0]], "cells"),
+])
+def test_program_loader_names_an_inner_field_of_the_wrong_shape(path, value, field):
+    obj = serialize.program_to_json(corpus.plain_stack_program())
+    inner = obj
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    with pytest.raises(ValueError, match=f"^{field}: expected a JSON"):
+        serialize.program_from_json(obj)
+
+
+@pytest.mark.parametrize("obj, field", [
+    ([], "interface set"),
+    ({"entries": {}}, "entries"),
+    ({"entries": [[]]}, "interface set entry"),
+    ({"entries": [{"initial": {"alg": "ram", "locs": {}}, "history": []}]}, "locs"),
+    ({"entries": [{"initial": {"alg": "ram_pi", "cells": []}, "history": []}]}, "cells"),
+])
+def test_interface_set_loader_names_a_field_of_the_wrong_shape(obj, field):
+    with pytest.raises(ValueError, match=f"^{field}: expected a JSON"):
+        serialize.interface_set_from_json(obj)
+
+
 def test_interface_set_round_trip():
     from ownlin.semantics import interf
     hs = interf(corpus.mini_stack(), corpus.gamma_val(), corpus.MINI_INITIAL,
@@ -245,6 +275,15 @@ def test_cli_program_file_holding_a_list(tmp_path, capsys):
     serialize.dump_json([], str(path))
     assert main(["dump-interf", str(path)]) == 2
     assert "error: program: expected a JSON object, got list" in capsys.readouterr().err
+
+
+def test_cli_program_whose_state_cells_are_an_array(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"][0]["cells"] = []
+    path = tmp_path / "bad_cells.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert "error: cells: expected a JSON object, got list" in capsys.readouterr().err
 
 
 def test_cli_program_whose_initial_is_a_string(corpus_files, tmp_path, capsys):
