@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .algebra import State, StateUniverse, star_set
-from .footprint import delta, foot_add, foot_leq
-from .history import InterfaceSet, LeqReport, interface_set_leq
-from .lang import Bounds, ClientProgram, Library, MethodSpec, Program
+from .footprint import Footprint, delta, foot_add, foot_leq
+from .history import History, InterfaceSet, LeqReport, interface_set_leq
+from .lang import Bounds, ClientProgram, Library, MethodSpec, Program, Trace
 from .semantics import (
     UnsafeComponentError,
     _algebra_of,
@@ -115,13 +115,34 @@ def inclusion_based_leq(h1: InterfaceSet, h2: InterfaceSet) -> bool:
     Equivalent to the witness-search decision for library-generated sets;
     the equivalence is itself a checked property.
     """
-    want = {}
-    for entry in h2.sorted_entries():
-        want.setdefault(entry.history, []).append(entry.initial)
+    want = _initials_by_history(h2)
     for entry in h1.sorted_entries():
         if not any(foot_leq(l2, entry.initial) for l2 in want.get(entry.history, ())):
             return False
     return True
+
+
+def _initials_by_history(hset: InterfaceSet) -> dict[History, list[Footprint]]:
+    """The initial footprints each history of ``hset`` is held from."""
+    out: dict[History, list[Footprint]] = {}
+    for entry in hset.sorted_entries():
+        out.setdefault(entry.history, []).append(entry.initial)
+    return out
+
+
+def _containment_verdict(concrete, reproduced: Callable[[Trace], bool],
+                         suffix: str = "") -> Verdict:
+    """Holds when ``reproduced`` accepts the client projection of every
+    concrete trace; else violated, naming the least projection it rejects."""
+    misses = sorted((t for t in (client_of(tau) for _, tau in concrete) if not reproduced(t)),
+                    key=trace_sort_key)
+    if misses:
+        return Verdict(Status.VIOLATED,
+                       f"{len(misses)} client projections unreproduced; "
+                       f"first: {misses[0]!r}")
+    return Verdict(Status.HOLDS_AT_BOUNDS,
+                   f"{len(concrete)} concrete behaviours, all client projections "
+                   f"reproduced{suffix}")
 
 
 def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
@@ -155,15 +176,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
     reproducible = {client_of(tau) for _, tau in abstract}
-    misses = sorted((client_of(tau) for _, tau in concrete
-                     if client_of(tau) not in reproducible), key=trace_sort_key)
-    if misses:
-        return Verdict(Status.VIOLATED,
-                       f"{len(misses)} client projections unreproduced; "
-                       f"first: {misses[0]!r}")
-    return Verdict(Status.HOLDS_AT_BOUNDS,
-                   f"{len(concrete)} concrete behaviours, "
-                   f"all client projections reproduced")
+    return _containment_verdict(concrete, lambda t: t in reproducible)
 
 
 def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
@@ -192,21 +205,11 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
 
-    entries_by_history = {}
-    for entry in hset2.sorted_entries():
-        entries_by_history.setdefault(entry.history, []).append(entry.initial)
+    entries_by_history = _initials_by_history(hset2)
     # the classes of the client traces whose history the set holds from a
     # footprint compatible with the client's own
     reproducible = {equivalence_key(ground(kappa)) for sigma_c, kappa in client_pairs
                     if any(foot_add(delta(sigma_c), l) is not None
                            for l in entries_by_history.get(history_of(kappa), ()))}
-    targets = (client_of(tau) for _, tau in concrete)
-    misses = sorted((t for t in targets if equivalence_key(t) not in reproducible),
-                    key=trace_sort_key)
-    if misses:
-        return Verdict(Status.VIOLATED,
-                       f"{len(misses)} client projections unreproduced; "
-                       f"first: {misses[0]!r}")
-    return Verdict(Status.HOLDS_AT_BOUNDS,
-                   f"{len(concrete)} concrete behaviours, all client projections "
-                   f"reproduced up to trace equivalence")
+    return _containment_verdict(concrete, lambda t: equivalence_key(t) in reproducible,
+                                " up to trace equivalence")

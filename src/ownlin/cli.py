@@ -16,7 +16,7 @@ from .checker import EXIT_CODES, Verdict, abstraction_check_code, check_lin_code
 from .footprint import delta, foot_leq, footprint_law_check
 from .frame import frame_check
 from .history import evaluate_footprint, linearized_by
-from .lang import Bounds
+from .lang import Bounds, Program
 from .rearrange import rearrange
 from .semantics import denote_library, history_of, interf, trace_sort_key
 from . import serialize
@@ -29,6 +29,15 @@ def _apply_bound_overrides(bounds: Bounds, args) -> Bounds:
         mgc_threads=args.mgc_threads if args.mgc_threads is not None else bounds.mgc_threads,
         max_trace_len=args.max_trace if args.max_trace is not None else bounds.max_trace_len,
     )
+
+
+def _load_program(path: str, *parts: str) -> Program:
+    """The program in ``path``, which must give each of ``parts``."""
+    prog = serialize.load_program(path)
+    for part in parts:
+        if getattr(prog, part) is None:
+            raise ValueError(f"{path}: program has no {part}")
+    return prog
 
 
 def _load_universe(args) -> StateUniverse | None:
@@ -48,8 +57,8 @@ def _emit_verdict(verdict: Verdict, as_json: bool) -> int:
 
 
 def _cmd_check_lin(args) -> int:
-    prog1 = serialize.load_program(args.concrete)
-    prog2 = serialize.load_program(args.abstract)
+    prog1 = _load_program(args.concrete, "library", "gamma")
+    prog2 = _load_program(args.abstract, "library")
     bounds = _apply_bound_overrides(prog1.bounds, args)
     universe = _load_universe(args) or prog1.universe
     verdict = check_lin_code(prog1.library, prog1.gamma, prog1.initial,
@@ -76,9 +85,9 @@ def _cmd_check_balanced(args) -> int:
 
 
 def _cmd_abstraction(args) -> int:
-    client_prog = serialize.load_program(args.client)
-    prog1 = serialize.load_program(args.concrete)
-    prog2 = serialize.load_program(args.abstract)
+    client_prog = _load_program(args.client, "client", "gamma")
+    prog1 = _load_program(args.concrete, "library")
+    prog2 = _load_program(args.abstract, "library")
     bounds = _apply_bound_overrides(prog1.bounds, args)
     universe = _load_universe(args) or client_prog.universe
     verdict = abstraction_check_code(
@@ -89,14 +98,15 @@ def _cmd_abstraction(args) -> int:
 
 
 def _cmd_frame_check(args) -> int:
-    prog1 = serialize.load_program(args.concrete)
-    prog2 = serialize.load_program(args.abstract)
+    prog1 = _load_program(args.concrete, "library")
+    prog2 = _load_program(args.abstract, "library")
     ext = serialize.expect_json(serialize.load_json(args.extension), dict, "extension")
     algebra = Algebra(ext.get("algebra", prog1.algebra.value))
     gamma = serialize.gamma_from_json(ext["gamma"], algebra)
     gamma_ext = serialize.gamma_from_json(ext["gamma_extended"], algebra)
-    initial_extra = frozenset(serialize.state_from_json(s)
-                              for s in ext.get("initial_extra", [{"alg": algebra.value, "cells": {}}]))
+    extra = ext.get("initial_extra", [{"alg": algebra.value, "cells": {}}])
+    initial_extra = frozenset(map(serialize.state_from_json,
+                                  serialize.expect_json(extra, list, "initial_extra")))
     bounds = _apply_bound_overrides(prog1.bounds, args)
     universe = _load_universe(args) or prog1.universe
     report = frame_check(prog1.library, prog2.library, gamma, gamma_ext,
@@ -134,7 +144,7 @@ def _cmd_validate_algebra(args) -> int:
 
 
 def _cmd_dump_interf(args) -> int:
-    prog = serialize.load_program(args.library)
+    prog = _load_program(args.library, "library", "gamma")
     bounds = _apply_bound_overrides(prog.bounds, args)
     hs = interf(prog.library, prog.gamma, prog.initial, bounds)
     print(serialize.dump_json(serialize.interface_set_to_json(hs)))
@@ -142,7 +152,7 @@ def _cmd_dump_interf(args) -> int:
 
 
 def _cmd_rearrange(args) -> int:
-    prog = serialize.load_program(args.library)
+    prog = _load_program(args.library, "library", "gamma")
     target = serialize.expect_json(serialize.load_json(args.target), dict, "target")
     target_initial = serialize.footprint_from_json(target["initial"])
     target_history = serialize.history_from_json(target["history"])

@@ -8,7 +8,6 @@ out the histories that treat ownership consistently.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -108,90 +107,54 @@ class LinWitness:
     mapping: tuple[int, ...]
 
 
-def _order_constrained(a: InterfaceAction, b: InterfaceAction) -> bool:
-    # earlier action a must stay before later action b when by the same thread
-    # or when a return precedes a call (non-overlapping invocations)
-    return a.thread == b.thread or (a.kind is Kind.RET and b.kind is Kind.CALL)
-
-
 def linearized_by(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
                   *, pin: int = 0) -> Optional[LinWitness]:
-    """The lexicographically least linearization witness, or ``None``.
+    """The linearization witness of ``h`` by ``h2``, or ``None``.
 
-    Maps indices of ``h`` left to right to the smallest unused index of an
-    equal action in ``h2`` that keeps every order constraint with the indices
-    already mapped, backtracking on dead ends; the first complete mapping is
-    therefore the least valid one.  ``pin`` forces the witness to be the
-    identity on the first ``pin`` indices.  The search keeps its own stack
-    of candidate positions, so no history is too long for it.
+    An action names its thread and all the state it transfers, so equal
+    actions belong to one thread, whose order a witness keeps: the k-th
+    occurrence of an action in ``h`` can only map to its k-th occurrence in
+    ``h2``.  That forced mapping is the only candidate, so a witness, when
+    one exists, is unique, and ``check_witness`` decides whether it is one.
+    ``pin`` asks for a witness that is the identity on the first ``pin``
+    indices, which the forced mapping is exactly when the histories agree
+    there.
     """
     n = len(h)
-    if n != len(h2):
+    if n != len(h2) or tuple(h[:max(pin, 0)]) != tuple(h2[:max(pin, 0)]):
         return None
-    positions: dict[InterfaceAction, list[int]] = {}
-    for k, a in enumerate(h2):
-        positions.setdefault(a, []).append(k)
-    # equal actions share one list of positions in h2, and the histories
-    # hold the same actions when no list is wanted more often than it is long
-    cand = [positions.get(a, ()) for a in h]
-    wanted = Counter(map(id, cand))
-    if any(wanted[id(ks)] > len(ks) for ks in cand):
+    # the positions of each action in h2, last first, so pop() takes the next
+    slots: dict[InterfaceAction, list[int]] = {}
+    for k in reversed(range(n)):
+        slots.setdefault(h2[k], []).append(k)
+    try:
+        w = LinWitness(tuple(slots[a].pop() for a in h))
+    except (KeyError, IndexError):  # h holds an action more often than h2
         return None
-    for i in range(min(pin, n)):
-        cand[i] = (i,) if h2[i] == h[i] else ()
-    # before[i]: the nearest earlier indices that must stay before i -- the
-    # previous action of its thread and, for a call, the last return of each
-    # other thread; every other constraint on i follows by transitivity
-    before: list[list[int]] = []
-    last: dict[int, int] = {}
-    last_ret: dict[int, int] = {}
-    for i, a in enumerate(h):
-        b = [last[a.thread]] if a.thread in last else []
-        if a.kind is Kind.CALL:
-            b += [r for t, r in last_ret.items() if t != a.thread]
-        before.append(b)
-        last[a.thread] = i
-        if a.kind is Kind.RET:
-            last_ret[a.thread] = i
-
-    assigned = [-1] * n
-    used = [False] * n
-    # nxt[i]: where in cand[i] the next candidate for i is; an index is
-    # entered past the candidates its constraints rule out (index 0 has none)
-    nxt = [0] * n
-    i = 0
-    while i < n:
-        ks = cand[i]
-        j = nxt[i]
-        while j < len(ks) and used[ks[j]]:
-            j += 1
-        if j < len(ks):
-            nxt[i] = j + 1
-            assigned[i] = ks[j]
-            used[ks[j]] = True
-            i += 1
-            if i < n:
-                floor = max((assigned[ip] for ip in before[i]), default=-1)
-                nxt[i] = bisect_right(cand[i], floor)
-        else:
-            if i == 0:
-                return None
-            i -= 1
-            used[assigned[i]] = False
-    return LinWitness(tuple(assigned))
+    return w if check_witness(h, h2, w) else None
 
 
 def check_witness(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
                   w: LinWitness) -> bool:
+    """Whether ``w`` maps ``h`` one to one onto equal actions of ``h2`` and
+    keeps its order constraints: an earlier action stays before a later one
+    of its thread, and a return stays before every later call.
+
+    Each index is held only past the image of the previous action of its
+    thread and, for a call, past the largest image of an earlier return;
+    every other constraint follows from these by transitivity.
+    """
     n = len(h)
     if len(h2) != n or sorted(w.mapping) != list(range(n)):
         return False
-    for i in range(n):
-        if h2[w.mapping[i]] != h[i]:
+    last: dict[int, int] = {}  # thread -> image of its latest action
+    ret_floor = -1  # the largest image of a return so far
+    for a, k in zip(h, w.mapping):
+        if h2[k] != a or k < last.get(a.thread, -1) or (a.kind is Kind.CALL and k < ret_floor):
             return False
-        for j in range(i + 1, n):
-            if _order_constrained(h[i], h[j]) and w.mapping[i] > w.mapping[j]:
-                return False
+        if a.kind is Kind.RET:
+            ret_floor = max(ret_floor, k)
+        last[a.thread] = k
     return True
 
 

@@ -7,6 +7,7 @@ trees use tagged nodes: {"seq": [...]}, {"choice": [...]}, {"star": ...},
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any, Mapping
@@ -48,12 +49,24 @@ from .lang import (
 )
 
 
+def _decoder(decode):
+    """``decode`` with its crashes on a wrong shape (``int()`` of a list, a
+    cell that does not unpack, the permission ``"1/0"``) made input errors."""
+    @functools.wraps(decode)
+    def wrapper(obj, *args):
+        try:
+            return decode(obj, *args)
+        except (TypeError, IndexError, ArithmeticError) as exc:
+            raise ValueError(f"{decode.__name__.removesuffix('_from_json')}: {exc}") from exc
+    return wrapper
+
+
 def expect_json(value, kind: type, field: str):
-    """``value`` when it is a JSON object (``dict``) or array (``list``) as
-    ``kind`` asks; a wrong shape is an input error naming the field."""
+    """``value`` when it is the JSON object, array or string (``dict``,
+    ``list``, ``str``) ``kind`` asks for; else an input error naming the field."""
     if not isinstance(value, kind):
-        raise ValueError(f"{field}: expected a JSON {'object' if kind is dict else 'array'}, "
-                         f"got {type(value).__name__}")
+        name = {dict: "object", list: "array", str: "string"}[kind]
+        raise ValueError(f"{field}: expected a JSON {name}, got {type(value).__name__}")
     return value
 
 
@@ -65,6 +78,7 @@ def state_to_json(s: State) -> dict:
     return {"alg": s.algebra.value, "cells": cells}
 
 
+@_decoder
 def state_from_json(obj: Mapping) -> State:
     expect_json(obj, dict, "state")
     alg = Algebra(obj["alg"])
@@ -87,6 +101,7 @@ def footprint_to_json(l: Footprint) -> dict:
     return {"alg": l.algebra.value, "cells": cells}
 
 
+@_decoder
 def footprint_from_json(obj: Mapping) -> Footprint:
     expect_json(obj, dict, "footprint")
     alg = Algebra(obj["alg"])
@@ -108,14 +123,15 @@ def action_to_json(a: InterfaceAction) -> dict:
 
 def action_from_json(obj: Mapping) -> InterfaceAction:
     expect_json(obj, dict, "interface action")
-    return InterfaceAction(int(obj["t"]), Kind(obj["k"]), obj["m"],
-                           state_from_json(obj["s"]))
+    return InterfaceAction(int(obj["t"]), Kind(obj["k"]),
+                           expect_json(obj["m"], str, "method"), state_from_json(obj["s"]))
 
 
 def history_to_json(h: History) -> list:
     return [action_to_json(a) for a in h]
 
 
+@_decoder
 def history_from_json(arr: list) -> History:
     return tuple(action_from_json(o) for o in expect_json(arr, list, "history"))
 
@@ -127,6 +143,7 @@ def interface_set_to_json(hs: InterfaceSet) -> dict:
     ]}
 
 
+@_decoder
 def interface_set_from_json(obj: Mapping) -> InterfaceSet:
     expect_json(obj, dict, "interface set")
     entries = []
@@ -213,7 +230,7 @@ def command_from_json(obj: Mapping) -> Command:
     if "prim" in obj:
         return Prim(prim_from_json(obj["prim"]))
     if "call" in obj:
-        return CallMethod(obj["call"])
+        return CallMethod(expect_json(obj["call"], str, "call"))
     if "seq" in obj:
         parts = [command_from_json(o) for o in obj["seq"]]
         out = parts[-1]
@@ -261,6 +278,7 @@ def gamma_to_json(gamma: MethodSpec) -> dict:
             for m in gamma.method_names}
 
 
+@_decoder
 def gamma_from_json(obj: Mapping, algebra: Algebra) -> MethodSpec:
     expect_json(obj, dict, "gamma")
     triples = {}
@@ -293,6 +311,7 @@ def universe_to_json(u: StateUniverse) -> dict:
             "threads": list(u.threads)}
 
 
+@_decoder
 def universe_from_json(obj: Mapping) -> StateUniverse:
     expect_json(obj, dict, "universe")
     base = StateUniverse()
@@ -319,6 +338,7 @@ def program_to_json(p: Program) -> dict:
     return out
 
 
+@_decoder
 def program_from_json(obj: Mapping) -> Program:
     expect_json(obj, dict, "program")
     for field, kind in (("library", dict), ("client", list), ("initial", list)):
@@ -348,13 +368,15 @@ def program_from_json(obj: Mapping) -> Program:
 
 
 def load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as fh:
-        return program_from_json(json.load(fh))
+    return program_from_json(load_json(path))
 
 
 def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def dump_json(obj, path: str | None = None) -> str:

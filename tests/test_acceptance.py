@@ -143,7 +143,7 @@ def test_criterion_04_linearization_oracle_agreement():
         disagreements += got != want
     elapsed = time.monotonic() - t0
     _verdict(4, disagreements == 0,
-             f"backtracking vs brute force: {len(histories)} histories <=7 "
+             f"forced mapping vs brute force: {len(histories)} histories <=7 "
              f"(2 threads, 2 methods) exhaustive within action classes "
              f"+ 1000 random length-10; {checked} pairs, "
              f"{disagreements} disagreements, {elapsed:.1f}s")

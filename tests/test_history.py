@@ -26,6 +26,7 @@ from ownlin.history import _multiset, check_witness
 
 from helpers import (
     EMPTY,
+    _order_ok,
     all_witnesses_bruteforce,
     delinearize,
     interface_set_leq_oracle,
@@ -134,7 +135,7 @@ def test_linearized_by_transitive_on_samples():
             assert linearized_by(h, h3) is not None
 
 
-def test_backtracking_agrees_with_bruteforce_random():
+def test_forced_mapping_agrees_with_bruteforce_random():
     rng = random.Random(37)
     for _ in range(500):
         h = random_history(rng, rng.randrange(0, 8))
@@ -174,8 +175,61 @@ def test_witness_is_the_least_valid_mapping():
         pinned = [m for m in every if m[:pin] == tuple(range(min(pin, len(h))))]
         assert linearized_by(h, h2, pin=pin) == (LinWitness(min(pinned)) if pinned else None)
         outcomes[bool(every), bool(pinned)] += 1
+        # a pin below 0 asks nothing; one past the end asks for the identity
+        assert linearized_by(h, h2, pin=-rng.randrange(1, 4)) == got
+        identity = LinWitness(tuple(range(len(h))))
+        assert linearized_by(h, h2, pin=len(h) + rng.randrange(1, 4)) == \
+            (identity if identity.mapping in every else None)
     # no witness; a witness the pin keeps; a witness the pin rules out
     assert outcomes[False, False] and outcomes[True, True] and outcomes[True, False]
+
+
+def _random_pair(rng):
+    if rng.random() < 0.5:  # many equal actions: few threads, one method
+        h = random_history(rng, rng.randrange(0, 9), threads=(1, 2),
+                           methods=("a",), states=(EMPTY,))
+    else:
+        h = random_history(rng, rng.randrange(0, 8))
+    h2 = thread_order_shuffle(rng, h) if rng.random() < 0.5 else delinearize(rng, h, 4)
+    return (h, h2) if rng.random() < 0.5 else (h2, h)
+
+
+def test_a_witness_is_unique():
+    # equal actions name one thread, whose order every witness keeps, so the
+    # forced occurrence mapping is the only candidate
+    rng = random.Random(53)
+    found = 0
+    for _ in range(400):
+        h, h2 = _random_pair(rng)
+        every = list(all_witnesses_bruteforce(h, h2))
+        assert len(every) <= 1
+        found += len(every)
+    assert found
+
+
+def test_check_witness_agrees_with_the_pairwise_oracle():
+    rng = random.Random(59)
+    verdicts = Counter()
+    for _ in range(600):
+        h, h2 = _random_pair(rng)
+        if rng.random() < 0.3:  # any order, even one no thread could run
+            h2 = tuple(rng.sample(h2, len(h2)))
+        mapping = list(range(len(h)))
+        rng.shuffle(mapping)
+        if rng.random() < 0.5:  # near a witness: the forced one, then a swap or two
+            forced = linearized_by(h, h2)
+            mapping = list(forced.mapping) if forced is not None else mapping
+            for _ in range(rng.randrange(0, 3)):
+                if len(h) > 1:
+                    i, j = rng.sample(range(len(h)), 2)
+                    mapping[i], mapping[j] = mapping[j], mapping[i]
+        got = check_witness(h, h2, LinWitness(tuple(mapping)))
+        assert got == _order_ok(h, h2, mapping)
+        verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]
+    twice = (call(1, "a", EMPTY),) * 2
+    assert not check_witness(twice, twice, LinWitness((0, 0)))
+    assert not check_witness(twice, twice, LinWitness((0,)))
 
 
 def _random_entries(rng, count, feet):

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,11 +104,9 @@ def test_interface_set_round_trip():
     assert serialize.interface_set_from_json(obj) == hs
 
 
-@pytest.fixture()
-def corpus_files(tmp_path):
+def _corpus_programs():
     small = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=2, max_trace_len=8)
-    paths = {}
-    for name, prog in (
+    return (
         ("mini", Program(Algebra.RAM, library=corpus.mini_stack(),
                          gamma=corpus.gamma_val(), initial=corpus.MINI_INITIAL,
                          universe=corpus.CORPUS_UNIVERSE, bounds=small)),
@@ -124,7 +124,13 @@ def corpus_files(tmp_path):
                               gamma=corpus.gamma_val(), initial=corpus.PLAIN_INITIAL,
                               universe=corpus.CORPUS_UNIVERSE,
                               bounds=corpus.SEQUENTIAL_BOUNDS)),
-    ):
+    )
+
+
+@pytest.fixture()
+def corpus_files(tmp_path):
+    paths = {}
+    for name, prog in _corpus_programs():
         p = tmp_path / f"{name}.json"
         serialize.dump_json(serialize.program_to_json(prog), str(p))
         paths[name] = str(p)
@@ -210,6 +216,15 @@ def test_cli_frame_check(corpus_files, tmp_path):
     code = main(["frame-check", corpus_files["mini_slow"], corpus_files["mini"],
                  _extension_file(tmp_path)])
     assert code == 0
+
+
+def test_cli_extension_whose_initial_extra_is_not_an_array(corpus_files, tmp_path, capsys):
+    path = _extension_file(tmp_path)
+    ext = serialize.load_json(path)
+    ext["initial_extra"] = 5
+    serialize.dump_json(ext, path)
+    assert main(["frame-check", corpus_files["mini_slow"], corpus_files["mini"], path]) == 2
+    assert "error: initial_extra: expected a JSON array, got int" in capsys.readouterr().err
 
 
 def test_cli_contract_not_covering_a_thread(corpus_files, tmp_path, capsys):
@@ -312,3 +327,91 @@ def test_cli_degenerate_bound_in_a_program_file(corpus_files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "holds-at-bounds" not in captured.out
     assert "error: bound max_trace_len must be at least 0, got -3" in captured.err
+
+
+def test_cli_ram_pi_cell_that_is_not_a_pair(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"] = [{"alg": "ram_pi", "cells": {"4": 5}}]
+    path = tmp_path / "bad_pi_cell.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("part", ["library", "gamma"])
+def test_cli_program_without_a_part_the_command_needs(corpus_files, tmp_path, part, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    del obj[part]
+    path = tmp_path / "partial.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert f"program has no {part}" in capsys.readouterr().err
+
+
+def test_cli_json_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"star": ' * 100_000 + "{}" + "}" * 100_000, encoding="utf-8")
+    assert main(["dump-interf", str(path)]) == 2
+    assert "JSON nested too deeply" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = (None, True, 0, -1, 7, 2.5, 1e400, "", "x", "1/0", "full", "tid",
+                [], [1], [1, 2, 3], [[]], {}, {"4": 5}, {"int": None}, {"seq": []})
+
+
+def _json_slots(obj, path=()):
+    """Every (container, key) of a JSON tree, each with its path."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,), obj, key
+        yield from _json_slots(value, path + (key,))
+
+
+def _fuzz_corpus():
+    from ownlin.semantics import interf
+    mini = corpus.mini_stack(), corpus.gamma_val(), corpus.MINI_INITIAL
+    hs = interf(*mini, Bounds(1, 1, 2, 6))
+    pi_state = ram_pi({42: (0, Fraction(1, 2)), 43: (1, 1)})
+    pi_hist = (call(1, "push", pi_state), ret(1, "push", ram_pi({})))
+    out = [(serialize.program_from_json, serialize.program_to_json(prog))
+           for _, prog in _corpus_programs()]
+    out.append((serialize.program_from_json, serialize.program_to_json(corpus.client_program())))
+    out.append((serialize.interface_set_from_json, serialize.interface_set_to_json(hs)))
+    for e in hs.sorted_entries()[-3:]:
+        out.append((serialize.history_from_json, serialize.history_to_json(e.history)))
+        out.append((serialize.footprint_from_json, serialize.footprint_to_json(e.initial)))
+    out.append((serialize.history_from_json, serialize.history_to_json(pi_hist)))
+    out.append((serialize.footprint_from_json, serialize.footprint_to_json(
+        ram_pi_foot({42: (Fraction(1, 2), 0), 43: Full}))))
+    return out
+
+
+def test_malformed_json_is_an_input_error():
+    """One-field mutations of every JSON form decode to a hashable value or
+    raise ``ValueError`` or ``KeyError``, the errors the command line reports
+    with exit code 2."""
+    rng = random.Random(8)
+    forms = _fuzz_corpus()
+    outcomes = {"decoded": 0, "ValueError": 0, "KeyError": 0}
+    for _ in range(2000):
+        decode, original = rng.choice(forms)
+        obj = copy.deepcopy(original)
+        path, container, key = rng.choice(list(_json_slots(obj)))
+        if isinstance(container, dict) and rng.random() < 0.2:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+        try:
+            hash(decode(obj))  # no field of a wrong type is left for later
+            outcomes["decoded"] += 1
+        except (ValueError, KeyError) as exc:
+            outcomes["KeyError" if isinstance(exc, KeyError) else "ValueError"] += 1
+        except Exception as exc:
+            raise AssertionError(f"{decode.__name__} at {path}: {exc!r}") from exc
+    assert all(outcomes.values()), outcomes
