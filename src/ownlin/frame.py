@@ -18,10 +18,10 @@ from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
     UnsafeComponentError,
-    denote_library,
     history_of,
     interf,
     trace_sort_key,
+    walk_library,
 )
 from .history import interface_set_leq, LeqReport
 
@@ -112,14 +112,30 @@ def extra_eval_explain(h: Sequence[InterfaceAction], sigma: State
     composition or subtraction failed."""
     cur = sigma
     for i, a in enumerate(h):
-        if a.kind is Kind.CALL:
-            nxt = star(cur, a.transferred)
-        else:
-            nxt = state_sub(cur, a.transferred)
-        if nxt is None:
+        cur = _extra_step(cur, a)
+        if cur is None:
             return TOP, i
-        cur = nxt
     return cur, None
+
+
+def _extra_step(cur: State, a: InterfaceAction) -> Optional[State]:
+    if a.kind is Kind.CALL:
+        return star(cur, a.transferred)
+    return state_sub(cur, a.transferred)
+
+
+def _failing_cut(h: History, gamma: MethodSpec, sigma_extra: State) -> Optional[History]:
+    """``h`` up to and including its first action that does not split against
+    ``gamma`` or whose extra piece does not fold, or ``None`` if none fails."""
+    cur = sigma_extra
+    for i, a in enumerate(h):
+        try:
+            cur = _extra_step(cur, ceil_action(a, gamma))
+        except SplitViolation:
+            cur = None
+        if cur is None:
+            return h[:i + 1]
+    return None
 
 
 @dataclass(frozen=True)
@@ -171,26 +187,20 @@ def check_framed_state_preserved(lib: Library, gamma: MethodSpec, gamma_ext: Met
             combined = star(sigma0, sigma_extra)
             if combined is None:
                 continue
-            d = denote_library(lib, gamma_ext, combined, bounds)
-            if d.faulted:
+            fault, histories = walk_library(lib, gamma_ext, combined, bounds,
+                                            histories_only=True)
+            if fault is not None:
                 raise UnsafeComponentError(
-                    f"library faults under the extended contract at {combined!r}",
-                    d.fault_trace)
-            # the fold reads only the history: fold each one once, then
-            # report the first failing trace in trace order; a history that
-            # does not split counts as failing, and its trace raises below
-            by_history: dict[History, list[Trace]] = {}
-            for tau in d.traces:
-                by_history.setdefault(history_of(tau), []).append(tau)
-            failing: list[Trace] = []
-            for h, taus in by_history.items():
-                try:
-                    if extra_eval(ceil_history(h, gamma), sigma_extra) is TOP:
-                        failing += taus
-                except SplitViolation:
-                    failing += taus
-            if failing:
-                tau = min(failing, key=trace_sort_key)
+                    f"library faults under the extended contract at {combined!r}", fault)
+            # the fold reads only the history, and a history fails from its
+            # first failing action on; the trace set is prefix-closed, so the
+            # least failing trace ends at that action and its history is a cut
+            cuts = {cut for h in histories
+                    if (cut := _failing_cut(h, gamma, sigma_extra)) is not None}
+            if cuts:
+                _, traces = walk_library(lib, gamma_ext, combined, bounds, cuts=cuts)
+                tau = min(traces, key=trace_sort_key)
+                # a cut that does not split raises here, as it must
                 ceil = ceil_history(history_of(tau), gamma)
                 _, index = extra_eval_explain(ceil, sigma_extra)
                 return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Collection, Iterable, Iterator, Union
 
 from .algebra import LawReport, Recorder, State, star, star_set, sub_pred
 from .footprint import delta
@@ -142,24 +142,34 @@ class Denotation:
 
 
 def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
-          histories_only: bool = False) -> tuple[Trace | None, set[Trace]]:
+          histories_only: bool = False,
+          cuts: Collection[History] | None = None) -> tuple[Trace | None, set[Trace]]:
     """Walk the product of per-thread tries from ``sigma``, depth first, up to
     ``cap`` actions.  Returns the ground prefix that faulted, or ``None`` and
     every annotated trace reached; each path spells one ground trace, which
     with its annotation fixes the state.  ``histories_only`` keeps interface
     actions only and skips a (trie nodes, state, history) already walked: the
-    nodes fix the depth, so the cap cuts the same behaviours."""
+    nodes fix the depth, so the cap cuts the same behaviours.  ``cuts``, a set
+    of histories none of which is a prefix of another, keeps the walk to
+    paths whose history is a prefix of a cut, and returns only the traces
+    whose history is a cut, without walking past them."""
     collected: set[Trace] = set()
     seen: set | None = set() if histories_only else None
     prefix: list = []
 
-    def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace) -> Trace | None:
+    # ``cut_node``: where the history so far sits in the trie of the cuts
+    def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace,
+             cut_node: _Trie | None) -> Trace | None:
         if seen is not None:
             key = (nodes, st, acc)
             if key in seen:
                 return None
             seen.add(key)
-        collected.add(acc)
+        if cut_node is None:
+            collected.add(acc)
+        elif not cut_node.children:
+            collected.add(acc)
+            return None
         if depth >= cap:
             return None
         for i, node in enumerate(nodes):
@@ -170,15 +180,22 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
                 prefix.append(action)
                 succ = nodes[:i] + (child,) + nodes[i + 1:]
                 for st2, a2 in r:
-                    keep = not histories_only or isinstance(a2, InterfaceAction)
-                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc)
+                    interface = isinstance(a2, InterfaceAction)
+                    child_cut = cut_node
+                    if cut_node is not None and interface:
+                        child_cut = cut_node.children.get(a2)
+                        if child_cut is None:
+                            continue
+                    keep = interface or not histories_only
+                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc, child_cut)
                     if fault is not None:
                         return fault
                 prefix.pop()
         return None
 
-    fault = walk(tries, 0, sigma, ())
-    return fault, collected
+    if cuts is not None and not cuts:
+        return None, collected
+    return walk(tries, 0, sigma, (), None if cuts is None else _Trie.of(cuts)), collected
 
 
 def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) -> Denotation:
@@ -194,6 +211,14 @@ def _library_thread_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
 @lru_cache(maxsize=64)
 def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, ...]:
     return tuple(_Trie.of(ts) for ts in _client_threads(client, bounds))
+
+
+def walk_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds, *,
+                 histories_only: bool = False, cuts: Collection[History] | None = None
+                 ) -> tuple[Trace | None, set[Trace]]:
+    """``_walk`` over the library's most-general-client tries under ``gamma``."""
+    return _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+                 bounds.max_trace_len, histories_only, cuts)
 
 
 def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
@@ -376,11 +401,9 @@ def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
     initial state when it is built.
     """
     _check_contract_covers(lib, gamma, bounds)
-    mode = LibraryLocal(gamma)
-    tries = _library_thread_tries(lib, bounds)
     entries = []
     for sigma0 in sorted(initial, key=State.sort_key):
-        fault, histories = _walk(mode, tries, sigma0, bounds.max_trace_len, histories_only=True)
+        fault, histories = walk_library(lib, gamma, sigma0, bounds, histories_only=True)
         if fault is not None:
             raise UnsafeComponentError(f"library faults at {sigma0!r}", fault)
         l0 = delta(sigma0)

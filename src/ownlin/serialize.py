@@ -62,10 +62,11 @@ def _decoder(decode):
 
 
 def expect_json(value, kind: type, field: str):
-    """``value`` when it is the JSON object, array or string (``dict``,
-    ``list``, ``str``) ``kind`` asks for; else an input error naming the field."""
-    if not isinstance(value, kind):
-        name = {dict: "object", list: "array", str: "string"}[kind]
+    """``value`` when it is the JSON object, array, string or integer
+    (``dict``, ``list``, ``str``, ``int``) ``kind`` asks for; else an input
+    error naming the field.  A float or a boolean is not an integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        name = {dict: "object", list: "array", str: "string", int: "integer"}[kind]
         raise ValueError(f"{field}: expected a JSON {name}, got {type(value).__name__}")
     return value
 
@@ -84,8 +85,10 @@ def state_from_json(obj: Mapping) -> State:
     alg = Algebra(obj["alg"])
     cells = expect_json(obj["cells"], dict, "cells")
     if alg is Algebra.RAM:
-        return State(alg, {int(loc): int(val) for loc, val in cells.items()})
-    return State(alg, {int(loc): (int(v), Fraction(p)) for loc, (v, p) in cells.items()})
+        return State(alg, {int(loc): expect_json(val, int, f"cells {loc}")
+                           for loc, val in cells.items()})
+    return State(alg, {int(loc): (expect_json(v, int, f"cells {loc}"), Fraction(p))
+                       for loc, (v, p) in cells.items()})
 
 
 def footprint_to_json(l: Footprint) -> dict:
@@ -106,13 +109,15 @@ def footprint_from_json(obj: Mapping) -> Footprint:
     expect_json(obj, dict, "footprint")
     alg = Algebra(obj["alg"])
     if alg is Algebra.RAM:
-        return Footprint(alg, [int(x) for x in expect_json(obj["locs"], list, "locs")])
+        return Footprint(alg, [expect_json(x, int, "locs")
+                               for x in expect_json(obj["locs"], list, "locs")])
     entries = []
     for loc, payload in expect_json(obj["cells"], dict, "cells").items():
         if payload == "full":
             entries.append((int(loc), Full))
         else:
-            entries.append((int(loc), (Fraction(payload["perm"]), int(payload["val"]))))
+            entries.append((int(loc), (Fraction(payload["perm"]),
+                                       expect_json(payload["val"], int, f"cells {loc} val"))))
     return Footprint(alg, entries)
 
 
@@ -123,7 +128,7 @@ def action_to_json(a: InterfaceAction) -> dict:
 
 def action_from_json(obj: Mapping) -> InterfaceAction:
     expect_json(obj, dict, "interface action")
-    return InterfaceAction(int(obj["t"]), Kind(obj["k"]),
+    return InterfaceAction(expect_json(obj["t"], int, "thread"), Kind(obj["k"]),
                            expect_json(obj["m"], str, "method"), state_from_json(obj["s"]))
 
 
@@ -174,21 +179,34 @@ def expr_to_json(e: Expr):
     raise TypeError(f"not an expression: {e!r}")
 
 
-def expr_from_json(obj) -> Expr:
+MAX_NESTING = 200
+"""The deepest command tree, expressions included, the loaders accept.  The
+checker walks these trees recursively, and ``Seq`` and ``Choice`` nest to
+the right, so a ``seq`` or ``choice`` list of n parts is n deep."""
+
+
+def _nested(depth: int) -> int:
+    if depth > MAX_NESTING:
+        raise ValueError(f"command tree nested deeper than {MAX_NESTING} levels")
+    return depth + 1
+
+
+def expr_from_json(obj, depth: int = 0) -> Expr:
+    depth = _nested(depth)
     if obj == "tid":
         return Tid()
     if isinstance(obj, Mapping):
         if "int" in obj:
-            return IntLit(int(obj["int"]))
+            return IntLit(expect_json(obj["int"], int, "int"))
         if "deref" in obj:
-            return Deref(expr_from_json(obj["deref"]))
+            return Deref(expr_from_json(obj["deref"], depth))
         if "add" in obj:
             a, b = obj["add"]
-            return Add(expr_from_json(a), expr_from_json(b))
+            return Add(expr_from_json(a, depth), expr_from_json(b, depth))
         if "neg" in obj:
-            return Neg(expr_from_json(obj["neg"]))
+            return Neg(expr_from_json(obj["neg"], depth))
         if "not" in obj:
-            return Not(expr_from_json(obj["not"]))
+            return Not(expr_from_json(obj["not"], depth))
     raise ValueError(f"bad expression: {obj!r}")
 
 
@@ -202,13 +220,14 @@ def prim_to_json(c: PrimCommand) -> dict:
     raise TypeError(f"not a primitive command: {c!r}")
 
 
-def prim_from_json(obj: Mapping) -> PrimCommand:
+def prim_from_json(obj: Mapping, depth: int = 0) -> PrimCommand:
     if "skip" in obj:
         return Skip()
     if "store" in obj:
-        return Store(expr_from_json(obj["store"]["addr"]), expr_from_json(obj["store"]["val"]))
+        return Store(expr_from_json(obj["store"]["addr"], depth),
+                     expr_from_json(obj["store"]["val"], depth))
     if "assume" in obj:
-        return Assume(expr_from_json(obj["assume"]))
+        return Assume(expr_from_json(obj["assume"], depth))
     raise ValueError(f"bad primitive command: {obj!r}")
 
 
@@ -226,25 +245,22 @@ def command_to_json(c: Command) -> dict:
     raise TypeError(f"not a command: {c!r}")
 
 
-def command_from_json(obj: Mapping) -> Command:
+def command_from_json(obj: Mapping, depth: int = 0) -> Command:
+    depth = _nested(depth)
     if "prim" in obj:
-        return Prim(prim_from_json(obj["prim"]))
+        return Prim(prim_from_json(obj["prim"], depth))
     if "call" in obj:
         return CallMethod(expect_json(obj["call"], str, "call"))
-    if "seq" in obj:
-        parts = [command_from_json(o) for o in obj["seq"]]
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Seq(part, out)
-        return out
-    if "choice" in obj:
-        parts = [command_from_json(o) for o in obj["choice"]]
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Choice(part, out)
-        return out
+    for tag, node in (("seq", Seq), ("choice", Choice)):
+        if tag in obj:
+            # part i sits i levels down the right-nested chain
+            parts = [command_from_json(o, depth + i) for i, o in enumerate(obj[tag])]
+            out = parts[-1]
+            for part in reversed(parts[:-1]):
+                out = node(part, out)
+            return out
     if "star" in obj:
-        return Star(command_from_json(obj["star"]))
+        return Star(command_from_json(obj["star"], depth))
     raise ValueError(f"bad command: {obj!r}")
 
 
@@ -297,11 +313,15 @@ def bounds_to_json(b: Bounds) -> dict:
 def bounds_from_json(obj: Mapping) -> Bounds:
     expect_json(obj, dict, "bounds")
     base = Bounds()
+
+    def get(key: str, default: int) -> int:
+        return expect_json(obj.get(key, default), int, f"bounds {key}")
+
     return Bounds(
-        star_unroll=int(obj.get("star", base.star_unroll)),
-        mgc_iters=int(obj.get("mgc_iters", base.mgc_iters)),
-        mgc_threads=int(obj.get("mgc_threads", base.mgc_threads)),
-        max_trace_len=int(obj.get("max_trace_len", base.max_trace_len)),
+        star_unroll=get("star", base.star_unroll),
+        mgc_iters=get("mgc_iters", base.mgc_iters),
+        mgc_threads=get("mgc_threads", base.mgc_threads),
+        max_trace_len=get("max_trace_len", base.max_trace_len),
     )
 
 
@@ -315,11 +335,15 @@ def universe_to_json(u: StateUniverse) -> dict:
 def universe_from_json(obj: Mapping) -> StateUniverse:
     expect_json(obj, dict, "universe")
     base = StateUniverse()
+
+    def ints(key: str, default: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(expect_json(x, int, f"universe {key}") for x in obj.get(key, default))
+
     return StateUniverse(
-        locations=tuple(int(x) for x in obj.get("locations", base.locations)),
-        values=tuple(int(x) for x in obj.get("values", base.values)),
+        locations=ints("locations", base.locations),
+        values=ints("values", base.values),
         permissions=tuple(Fraction(x) for x in obj.get("permissions", base.permissions)),
-        threads=tuple(int(x) for x in obj.get("threads", base.threads)),
+        threads=ints("threads", base.threads),
     )
 
 

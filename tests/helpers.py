@@ -14,6 +14,13 @@ from itertools import permutations
 
 from ownlin.algebra import ParamPredicate, State, star
 from ownlin.footprint import delta, foot_add, foot_leq
+from ownlin.frame import (
+    Hypothesis4Witness,
+    SplitViolation,
+    ceil_history,
+    extra_eval,
+    extra_eval_explain,
+)
 from ownlin.history import Kind, LeqEntry, LeqReport, call, linearized_by, ret
 from ownlin.lang import (
     Assume,
@@ -22,6 +29,7 @@ from ownlin.lang import (
     MethodSpec,
     Prim,
     TID,
+    TOP,
     choice,
     is_interface,
     library,
@@ -30,7 +38,14 @@ from ownlin.lang import (
     store,
 )
 from ownlin import ram
-from ownlin.semantics import client_of, ground, history_of
+from ownlin.semantics import (
+    UnsafeComponentError,
+    client_of,
+    denote_library,
+    ground,
+    history_of,
+    trace_sort_key,
+)
 
 
 def state_sub_oracle(s2: State, s1: State, universe) -> State | None:
@@ -129,6 +144,38 @@ def abstraction_spec_misses_oracle(client_pairs, concrete, hset):
                    for sigma_c, kappa in client_pairs):
             misses.append(target)
     return sorted(misses, key=lambda t: (len(t), repr(t)))
+
+
+def framed_witness_oracle(lib, gamma, gamma_ext, initial_base, initial_extra, bounds):
+    """``check_framed_state_preserved`` by the full walk: every annotated trace
+    under the extended contract, grouped by history, each history folded
+    whole; the witness is the least trace whose history fails."""
+    for sigma0 in sorted(initial_base, key=State.sort_key):
+        for sigma_extra in sorted(initial_extra, key=State.sort_key):
+            combined = star(sigma0, sigma_extra)
+            if combined is None:
+                continue
+            d = denote_library(lib, gamma_ext, combined, bounds)
+            if d.faulted:
+                raise UnsafeComponentError(
+                    f"library faults under the extended contract at {combined!r}",
+                    d.fault_trace)
+            by_history = defaultdict(list)
+            for tau in d.traces:
+                by_history[history_of(tau)].append(tau)
+            failing = []
+            for h, taus in by_history.items():
+                try:
+                    if extra_eval(ceil_history(h, gamma), sigma_extra) is TOP:
+                        failing += taus
+                except SplitViolation:
+                    failing += taus
+            if failing:
+                tau = min(failing, key=trace_sort_key)
+                ceil = ceil_history(history_of(tau), gamma)
+                _, index = extra_eval_explain(ceil, sigma_extra)
+                return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
+    return None
 
 
 EMPTY = ram({})

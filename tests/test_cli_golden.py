@@ -28,6 +28,8 @@ GOLDEN = {
     "abstraction": ["2882e6951373ed1f9a92499f33a60d4c442b4bd5ad4a32426e0fdb7cebf4cd34", 0],
     "frame-check": ["ac5776f836b76c6992adafae5b60f50d838f600ba37171532a7224f3a2e35971", 0],
     "frame-check-scribbler": ["0142dd92df4cd59243fed0f3bde25c032cd858eff4463694e4bc343e29ca61a4", 2],
+    "frame-check-json": ["72b2e734931f54049d34f65c469b1c2230b412c9fb7b20ee61132f8c3259a7c7", 0],
+    "frame-check-scribbler-json": ["b640ad4cabc0c02b0ecd02798ed3a8af889ff0e1ff1e90ef770d20bf8cf60a58", 2],
     "dump-interf": ["d062c02700c56dcc0fdbd457ff2b892ebb23180366f012bf0f589d47cbc8a92f", 0],
     "rearrange": ["974b17d7b482c201771deff7007af5cfe9bbc024543cc19fc9aa5996a2ebd41d", 0],
 }
@@ -44,6 +46,9 @@ def _commands(files, tmp_path) -> dict[str, list[str]]:
         # the scribbler's extra-state fold first fails on a 10-action trace
         "frame-check-scribbler": ["--max-trace", "10", "frame-check", files["scribbler"],
                                   files["mini"], ext],
+        "frame-check-json": ["--json", "frame-check", files["mini_slow"], files["mini"], ext],
+        "frame-check-scribbler-json": ["--json", "--max-trace", "10", "frame-check",
+                                       files["scribbler"], files["mini"], ext],
         "dump-interf": ["dump-interf", files["mini"]],
         "rearrange": ["rearrange", files["mini"], _target_file(tmp_path), "--explain"],
     }

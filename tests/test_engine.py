@@ -11,6 +11,7 @@ import pytest
 from ownlin import corpus, ram, star
 from ownlin.algebra import ParamPredicate
 from ownlin.footprint import delta
+from ownlin.history import InterfaceAction
 from ownlin.lang import (
     TID,
     TOP,
@@ -42,6 +43,7 @@ from ownlin.semantics import (
     eval_trace,
     history_of,
     interf,
+    walk_library,
 )
 
 BOUNDS = (Bounds(1, 1, 2, 6), Bounds(1, 2, 2, 7))
@@ -185,6 +187,31 @@ def test_faulting_library_is_reported_by_both_paths(name, lib, gamma, initial):
     for fault in (d.fault_trace, exc.value.fault_trace):
         assert fault in traces
         assert eval_trace(mode, fault, sigma).faulted
+
+
+@pytest.mark.parametrize("name,lib,gamma,initial", FAULTING, ids=_ids(FAULTING))
+def test_deduplicating_walk_meets_the_full_walks_first_fault(name, lib, gamma, initial):
+    bounds = Bounds(1, 2, 2, 8)
+    (sigma,) = initial
+    fault, _ = walk_library(lib, gamma, sigma, bounds, histories_only=True)
+    assert fault is not None
+    assert fault == denote_library(lib, gamma, sigma, bounds).fault_trace
+
+
+@pytest.mark.parametrize("length", (1, 2, 3))
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
+def test_walk_along_cuts_stops_at_them(name, lib, gamma, initial, length):
+    # histories of one length are prefixes of none of the others; every
+    # second one leaves paths the walk must not take
+    bounds = Bounds(1, 1, 2, 7)
+    for sigma in initial:
+        _, histories = walk_library(lib, gamma, sigma, bounds, histories_only=True)
+        cuts = set(sorted((h for h in histories if len(h) == length), key=repr)[::2])
+        _, got = walk_library(lib, gamma, sigma, bounds, cuts=cuts)
+        want = {tau for tau in denote_library(lib, gamma, sigma, bounds).traces
+                if tau and isinstance(tau[-1], InterfaceAction) and history_of(tau) in cuts}
+        assert got == want
+        assert bool(got) == bool(cuts)
 
 
 def test_clear_caches_empties_the_bounded_caches():

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
+from helpers import framed_witness_oracle
 from ownlin import corpus, ram, star
 from ownlin.frame import (
+    Hypothesis4Witness,
     SpecExtension,
     SplitViolation,
     ceil_action,
@@ -13,9 +17,14 @@ from ownlin.frame import (
     floor_trace,
     frame_check,
 )
-from ownlin.history import call, ret
-from ownlin.lang import TOP, Bounds
-from ownlin.semantics import denote_library, history_of, library_trace_member
+from ownlin.history import InterfaceAction, call, ret
+from ownlin.lang import TID, TOP, Bounds, Prim, library, store
+from ownlin.semantics import (
+    UnsafeComponentError,
+    denote_library,
+    history_of,
+    library_trace_member,
+)
 
 GAMMA = corpus.gamma_val()
 GAMMA_OBJ = corpus.gamma_obj()
@@ -140,3 +149,49 @@ def test_frame_check_rejects_a_contract_not_covering_a_thread():
         frame_check(corpus.mini_stack_slow(), corpus.mini_stack(), GAMMA, GAMMA_OBJ,
                     corpus.MINI_INITIAL, corpus.MINI_INITIAL, corpus.EXTRA_INITIAL_EMPTY,
                     Bounds(1, 1, 3, 6), UNIVERSE)
+
+
+# pushes write to a cell no one owns, so it faults under every contract
+_FAULTING = library({"push": Prim(store(9, 0)), "pop": Prim(store(TID, 0))})
+_PRESERVATION_CASES = list(itertools.product(
+    [("mini_stack", corpus.mini_stack()), ("mini_stack_slow", corpus.mini_stack_slow()),
+     ("mini_stack_scribbler", corpus.mini_stack_scribbler()), ("faulting", _FAULTING)],
+    [("val/obj", GAMMA, GAMMA_OBJ), ("obj/val", GAMMA_OBJ, GAMMA)],
+    # the scribbler first fails at length 10; at 12 its failing trace has
+    # extensions within the cap, which the restricted walk must not report
+    [Bounds(1, 1, 2, 8), Bounds(1, 1, 2, 10), Bounds(1, 2, 2, 8), Bounds(1, 1, 2, 12)],
+))
+
+
+def _preservation_outcome(check, lib, gamma, gamma_ext, bounds):
+    """The witness, or the raised exception's type, message, trace and action."""
+    try:
+        return check(lib, gamma, gamma_ext, corpus.MINI_INITIAL,
+                     corpus.EXTRA_INITIAL_EMPTY, bounds)
+    except (SplitViolation, UnsafeComponentError) as e:
+        return (type(e), str(e), getattr(e, "fault_trace", None), getattr(e, "action", None))
+
+
+@pytest.fixture(scope="module")
+def preservation_outcomes():
+    return [(_preservation_outcome(check_framed_state_preserved, lib, g, gx, b),
+             _preservation_outcome(framed_witness_oracle, lib, g, gx, b))
+            for (_, lib), (_, g, gx), b in _PRESERVATION_CASES]
+
+
+def test_framed_state_preservation_agrees_with_the_full_walk(preservation_outcomes):
+    for ((name, _), (order, _, _), b), (got, want) in zip(_PRESERVATION_CASES,
+                                                          preservation_outcomes):
+        assert got == want, (name, order, b)
+    kinds = {got[0] if isinstance(got, tuple) else type(got)
+             for got, _ in preservation_outcomes}
+    # clean, failing, non-splitting and faulting cases are all covered
+    assert kinds == {type(None), Hypothesis4Witness, SplitViolation, UnsafeComponentError}
+
+
+def test_framed_witness_ends_at_its_failing_action(preservation_outcomes):
+    witnesses = [w for w, _ in preservation_outcomes if isinstance(w, Hypothesis4Witness)]
+    assert witnesses
+    for w in witnesses:
+        assert isinstance(w.trace[-1], InterfaceAction)
+        assert w.failing_index == len(w.failing_prefix) - 1

@@ -356,6 +356,62 @@ def test_cli_json_nested_too_deeply(tmp_path, capsys):
     assert "JSON nested too deeply" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cells, field, got", [
+    ({"4": 2.7}, "cells 4", "float"),
+    ({"4": 2, "5": True}, "cells 5", "bool"),
+])
+def test_state_loader_rejects_a_cell_value_that_is_not_an_integer(cells, field, got):
+    with pytest.raises(ValueError, match=f"^{field}: expected a JSON integer, got {got}$"):
+        serialize.state_from_json({"alg": "ram", "cells": cells})
+    pi_cells = {loc: [v, "1"] for loc, v in cells.items()}
+    with pytest.raises(ValueError, match=f"^{field}: expected a JSON integer, got {got}$"):
+        serialize.state_from_json({"alg": "ram_pi", "cells": pi_cells})
+    # the keys are JSON strings and still decode
+    assert serialize.state_from_json({"alg": "ram", "cells": {"4": 2}}) == ram({4: 2})
+
+
+@pytest.mark.parametrize("thread, got", [(1.9, "float"), (True, "bool"), ("1", "str")])
+def test_history_loader_rejects_a_thread_that_is_not_an_integer(thread, got):
+    arr = serialize.history_to_json((call(1, "push", ram({1: 7})),))
+    arr[0]["t"] = thread
+    with pytest.raises(ValueError, match=f"^thread: expected a JSON integer, got {got}$"):
+        serialize.history_from_json(arr)
+
+
+@pytest.mark.parametrize("value, got", [(7.5, "float"), (True, "bool"), ("7", "str")])
+def test_cli_bound_in_a_program_file_that_is_not_an_integer(corpus_files, tmp_path, value,
+                                                            got, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["bounds"]["max_trace_len"] = value
+    path = tmp_path / "bad_bound.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert (f"error: bounds max_trace_len: expected a JSON integer, got {got}"
+            in capsys.readouterr().err)
+
+
+def test_cli_method_body_nested_too_deeply(corpus_files, tmp_path, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    body = obj["library"]["push"]
+    # a seq list nests to the right, so it is as deep as it is long
+    obj["library"]["push"] = {"seq": [{"prim": {"skip": {}}}] * 1500 + [body]}
+    path = tmp_path / "deep_body.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: command tree nested deeper than ") and "Traceback" not in err
+
+
+def test_seq_as_long_as_the_nesting_limit_loads():
+    skip = {"prim": {"skip": {}}}
+    obj = serialize.program_to_json(corpus.plain_stack_program())
+    obj["library"]["push"] = {"seq": [skip] * serialize.MAX_NESTING}
+    serialize.program_from_json(obj)
+    obj["library"]["push"] = {"seq": [skip] * (serialize.MAX_NESTING + 1)}
+    with pytest.raises(ValueError, match="nested deeper"):
+        serialize.program_from_json(obj)
+
+
 _FUZZ_VALUES = (None, True, 0, -1, 7, 2.5, 1e400, "", "x", "1/0", "full", "tid",
                 [], [1], [1, 2, 3], [[]], {}, {"4": 5}, {"int": None}, {"seq": []})
 
