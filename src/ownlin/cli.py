@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .algebra import Algebra, StateUniverse, algebra_law_check
+from .algebra import Algebra, State, StateUniverse, algebra_law_check
 from .checker import EXIT_CODES, Verdict, abstraction_check_code, check_lin_code
 from .footprint import delta, foot_leq, footprint_law_check
 from .frame import frame_check
@@ -157,20 +156,17 @@ def _cmd_rearrange(args) -> int:
     target_initial = serialize.footprint_from_json(target["initial"])
     target_history = serialize.history_from_json(target["history"])
     bounds = _apply_bound_overrides(prog.bounds, args)
-    rng = random.Random(args.seed)
-    candidates = []
-    for sigma0 in sorted(prog.initial, key=lambda s: s.sort_key()):
-        if not foot_leq(delta(sigma0), target_initial):
-            continue
-        d = denote_library(prog.library, prog.gamma, sigma0, bounds)
-        for tau in sorted(d.traces, key=trace_sort_key):
-            if linearized_by(target_history, history_of(tau)) is not None:
-                candidates.append((sigma0, tau))
-    if not candidates:
+    # the least trace of the first initial state below the target that has one
+    found = next(((sigma0, tau)
+                  for sigma0 in sorted(prog.initial, key=State.sort_key)
+                  if foot_leq(delta(sigma0), target_initial)
+                  for tau in sorted(denote_library(prog.library, prog.gamma, sigma0,
+                                                   bounds).traces, key=trace_sort_key)
+                  if linearized_by(target_history, history_of(tau)) is not None), None)
+    if found is None:
         print("no trace of the library linearizes the target history", file=sys.stderr)
         return 1
-    sigma0, tau = candidates[rng.randrange(len(candidates))] if args.seed is not None \
-        else candidates[0]
+    sigma0, tau = found
     result, log = rearrange(prog.library, prog.gamma, sigma0, tau,
                             target_history, target_initial, bounds)
     payload = {
@@ -194,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mgc-threads", type=int, default=None, metavar="N")
     parser.add_argument("--max-trace", type=int, default=None, metavar="L")
     parser.add_argument("--universe", default=None, metavar="FILE")
-    parser.add_argument("--seed", type=int, default=None, metavar="N")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-lin", help="is one library linearized by another")

@@ -131,7 +131,7 @@ def _interface_positions(trace: Trace) -> list[int]:
 
 def rearrange(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
               target_history: Sequence[InterfaceAction], target_initial: Footprint,
-              bounds: Bounds, *, debug: bool = False) -> tuple[Trace, RearrangeLog]:
+              bounds: Bounds) -> tuple[Trace, RearrangeLog]:
     """Rewrite a library trace into one whose history is ``target_history``.
 
     Preconditions (checked): the trace is in the library-local denotation
@@ -148,12 +148,12 @@ def rearrange(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
     if linearized_by(H, history_of(trace)) is None:
         raise ValueError("target history is not linearized by the trace's history")
     return _align(Kind.CALL, lambda tau: library_trace_member(lib, gamma, sigma0, tau, bounds),
-                  trace, H, delta(sigma0), debug)
+                  trace, H, delta(sigma0))
 
 
 def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
                      trace: Trace, target_history: Sequence[InterfaceAction],
-                     bounds: Bounds, *, debug: bool = False) -> tuple[Trace, RearrangeLog]:
+                     bounds: Bounds) -> tuple[Trace, RearrangeLog]:
     """Rewrite a client trace into an equivalent one with the target history.
 
     Requires the trace's history to be linearized by the target.  The result
@@ -165,14 +165,14 @@ def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
     if linearized_by(history_of(trace), H) is None:
         raise ValueError("trace history is not linearized by the target history")
     return _align(Kind.RET, lambda tau: client_trace_member(client, gamma, sigma, tau, bounds),
-                  trace, H, delta(sigma), debug)
+                  trace, H, delta(sigma))
 
 
 _WORD = {Kind.CALL: "call", Kind.RET: "return"}
 
 
 def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: History,
-           initial: Footprint, debug: bool) -> tuple[Trace, RearrangeLog]:
+           initial: Footprint) -> tuple[Trace, RearrangeLog]:
     """Bring the target's actions into place one stage at a time.
 
     Stage ``k`` takes the trace action that a pinned linearization witness
@@ -180,7 +180,9 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
     before it; otherwise the blocking ``late`` actions, leftmost first, are
     pushed right past it.  ``member`` decides membership in the side's local
     denotation and re-verifies every swap; ``initial`` is the side's own
-    footprint, which gains state at ``early`` actions.
+    footprint, which gains state at ``early`` actions.  Each balanced swap is
+    checked to commute, and each stage to leave the target's prefix in place
+    with a witness for the rest.
     """
     late = _late(early)
     side = "library" if early is Kind.CALL else "client"
@@ -225,7 +227,7 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
                 if rule is None:
                     raise ConflictError(f"unbalanced {_WORD[late]}/{_WORD[early]} swap "
                                         f"at stage {k} (conflicting pair)")
-                if debug and rule.endswith("-balanced"):
+                if rule.endswith("-balanced"):
                     _check_swap_commutes(cur, p - 1, initial, early)
                 cur = do_swap(cur, p - 1, rule, swaps)
                 p -= 1
@@ -253,11 +255,10 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
                     q += 1
                 p -= 1  # the matched action shifted left past one blocker
 
-        if debug:
-            if history_of(cur)[:k + 1] != H[:k + 1]:
-                raise ConflictError(f"history prefix differs from the target after stage {k}")
-            if witness(history_of(cur), k + 1) is None:
-                raise ConflictError(f"linearization witness lost after stage {k}")
+        if history_of(cur)[:k + 1] != H[:k + 1]:
+            raise ConflictError(f"history prefix differs from the target after stage {k}")
+        if witness(history_of(cur), k + 1) is None:
+            raise ConflictError(f"linearization witness lost after stage {k}")
         stages.append(StageRecord(k, p + 1, tuple(swaps)))
 
     if history_of(cur) != H:

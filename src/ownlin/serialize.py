@@ -71,6 +71,15 @@ def expect_json(value, kind: type, field: str):
     return value
 
 
+def _permission(value, field: str) -> Fraction:
+    """The exact permission a JSON string (``"1/2"``) or integer spells; a
+    float or a boolean is an input error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{field}: expected a permission string or integer, "
+                         f"got {type(value).__name__}")
+    return Fraction(value)
+
+
 def state_to_json(s: State) -> dict:
     if s.algebra is Algebra.RAM:
         cells = {str(loc): val for loc, val in s.cells}
@@ -87,7 +96,8 @@ def state_from_json(obj: Mapping) -> State:
     if alg is Algebra.RAM:
         return State(alg, {int(loc): expect_json(val, int, f"cells {loc}")
                            for loc, val in cells.items()})
-    return State(alg, {int(loc): (expect_json(v, int, f"cells {loc}"), Fraction(p))
+    return State(alg, {int(loc): (expect_json(v, int, f"cells {loc}"),
+                                  _permission(p, f"cells {loc} permission"))
                        for loc, (v, p) in cells.items()})
 
 
@@ -116,7 +126,7 @@ def footprint_from_json(obj: Mapping) -> Footprint:
         if payload == "full":
             entries.append((int(loc), Full))
         else:
-            entries.append((int(loc), (Fraction(payload["perm"]),
+            entries.append((int(loc), (_permission(payload["perm"], f"cells {loc} perm"),
                                        expect_json(payload["val"], int, f"cells {loc} val"))))
     return Footprint(alg, entries)
 
@@ -342,7 +352,8 @@ def universe_from_json(obj: Mapping) -> StateUniverse:
     return StateUniverse(
         locations=ints("locations", base.locations),
         values=ints("values", base.values),
-        permissions=tuple(Fraction(x) for x in obj.get("permissions", base.permissions)),
+        permissions=tuple(_permission(x, "universe permissions") for x in obj["permissions"])
+        if "permissions" in obj else base.permissions,
         threads=ints("threads", base.threads),
     )
 

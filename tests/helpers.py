@@ -12,7 +12,7 @@ import random
 from collections import Counter, defaultdict
 from itertools import permutations
 
-from ownlin.algebra import ParamPredicate, State, star
+from ownlin.algebra import ParamPredicate, Recorder, State, star, star_set
 from ownlin.footprint import delta, foot_add, foot_leq
 from ownlin.frame import (
     Hypothesis4Witness,
@@ -21,13 +21,14 @@ from ownlin.frame import (
     extra_eval,
     extra_eval_explain,
 )
-from ownlin.history import Kind, LeqEntry, LeqReport, call, linearized_by, ret
+from ownlin.history import InterfaceAction, Kind, LeqEntry, LeqReport, call, linearized_by, ret
 from ownlin.lang import (
     Assume,
     Bounds,
     Library,
     MethodSpec,
     Prim,
+    Program,
     TID,
     TOP,
     choice,
@@ -40,7 +41,12 @@ from ownlin.lang import (
 from ownlin import ram
 from ownlin.semantics import (
     UnsafeComponentError,
+    _algebra_of,
+    _split_actions,
+    all_covers,
     client_of,
+    denotation_pairs,
+    denote_complete,
     denote_library,
     ground,
     history_of,
@@ -145,6 +151,97 @@ def abstraction_spec_misses_oracle(client_pairs, concrete, hset):
             misses.append(target)
     return sorted(misses, key=lambda t: (len(t), repr(t)))
 
+
+def lib_of(tau):
+    return _split_actions(tau)[1]
+
+
+def cover(tau, kappa, lam) -> bool:
+    """The client and library projections of ``tau`` are the ground local
+    traces, whose histories match."""
+    return (history_of(kappa) == history_of(lam)
+            and client_of(tau) == ground(kappa)
+            and lib_of(tau) == ground(lam))
+
+def compose_decompose_oracle(client, lib, gamma, initial_client, initial_lib, bounds, *,
+                             library_transform=None):
+    """``compose_decompose_check`` by two searches.  Composition: for each
+    history-matching local pair whose states compose, look for a cover within
+    the cap that the complete program lacks.  Decomposition: for each complete
+    trace, look for a pair whose ground traces are the trace's client and
+    library projections, whose histories match and whose states compose to
+    the trace's initial state."""
+    algebra = _algebra_of(initial_client, initial_lib)
+    X = denotation_pairs(Program(algebra, client=client, gamma=gamma, bounds=bounds),
+                         initial_client, bounds)
+    Y = denotation_pairs(Program(algebra, library=lib, gamma=gamma, bounds=bounds),
+                         initial_lib, bounds)
+    if library_transform is not None:
+        Y = frozenset(library_transform(Y))
+    rec = Recorder()
+    lhs = set()
+    for sigma in sorted(star_set(initial_client, initial_lib), key=State.sort_key):
+        d = denote_complete(lib, client, sigma, bounds)
+        if d.faulted:
+            rec.record("complete_safety", (sigma,), "safe", d.fault_trace)
+            continue
+        lhs.update((sigma, t) for t in d.traces)
+
+    y_by_history = defaultdict(list)
+    for s1, lam in Y:
+        y_by_history[history_of(lam)].append((s1, lam))
+    for s0, kappa in X:
+        for s1, lam in y_by_history[history_of(kappa)]:
+            sigma = star(s0, s1)
+            if sigma is None:
+                continue
+            for tau in all_covers(kappa, lam):
+                if len(tau) <= bounds.max_trace_len and (sigma, tau) not in lhs:
+                    rec.record("compose", (s0, kappa, s1, lam), "member", tau)
+                    break
+
+    x_by_ground = defaultdict(list)
+    for s0, kappa in X:
+        x_by_ground[ground(kappa)].append((s0, kappa))
+    y_by_ground = defaultdict(list)
+    for s1, lam in Y:
+        y_by_ground[ground(lam)].append((s1, lam))
+    for sigma, tau in lhs:
+        cpart, lpart = _split_actions(tau)
+        if not any(history_of(kappa) == history_of(lam) and star(s0, s1) == sigma
+                   for s0, kappa in x_by_ground[cpart] for s1, lam in y_by_ground[lpart]):
+            rec.record("decompose", (sigma, tau), "local pair", None)
+    return rec.report()
+
+# library-side mutants for ``compose_decompose_check``'s ``library_transform``
+
+def drop_transfer(pairs):
+    """Empty the state of each trace's first call that transfers some."""
+    out = []
+    for sigma, lam in pairs:
+        new, done = [], False
+        for a in lam:
+            if (not done and isinstance(a, InterfaceAction)
+                    and a.kind is Kind.CALL and a.transferred.cells):
+                a = InterfaceAction(a.thread, a.kind, a.method, ram({}))
+                done = True
+            new.append(a)
+        out.append((sigma, tuple(new)))
+    return out
+
+
+def extra_cell(pairs):
+    """Compose the cell 9 into every library initial state."""
+    return [(star(sigma, ram({9: 0})), lam) for sigma, lam in pairs]
+
+
+def drop_last_command(pairs):
+    """Delete the last command of each trace that has one."""
+    out = []
+    for sigma, lam in pairs:
+        cmds = [i for i, a in enumerate(lam) if not is_interface(a)]
+        out.append((sigma, lam[:cmds[-1]] + lam[cmds[-1] + 1:] if cmds else lam))
+    return out
 
 def framed_witness_oracle(lib, gamma, gamma_ext, initial_base, initial_extra, bounds):
     """``check_framed_state_preserved`` by the full walk: every annotated trace

@@ -13,7 +13,7 @@ from ownlin.checker import (
     inclusion_based_leq,
 )
 from ownlin.history import Kind, interface_set, is_sequential
-from ownlin.lang import Bounds, Prim, Program, SKIP, library, seq
+from ownlin.lang import Bounds, ClientProgram, Prim, Program, SKIP, library, seq, store
 from ownlin.semantics import UnsafeComponentError, denotation_pairs
 
 from helpers import (
@@ -28,6 +28,9 @@ GAMMA = corpus.gamma_val()
 UNIVERSE = corpus.CORPUS_UNIVERSE
 BOUNDS = corpus.DEFAULT_BOUNDS
 SMALL = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=2, max_trace_len=8)
+# each touches the cell 9, which no initial state owns
+UNSAFE_CLIENT = ClientProgram((Prim(store(9, 1)),))
+UNSAFE_LIB = library({"push": Prim(store(9, 1)), "pop": Prim(SKIP)})
 
 
 def test_every_library_linearizes_itself():
@@ -52,9 +55,7 @@ def test_stack_and_queue_distinguished():
 
 
 def test_unsafe_input_rejected():
-    from ownlin.lang import store
-    bad = library({"push": Prim(store(9, 1)), "pop": Prim(SKIP)})
-    v = check_lin_code(bad, GAMMA, corpus.MINI_INITIAL,
+    v = check_lin_code(UNSAFE_LIB, GAMMA, corpus.MINI_INITIAL,
                        corpus.mini_stack(), corpus.MINI_INITIAL, SMALL, UNIVERSE)
     assert v.status is Status.HYPOTHESIS_FAILED
     assert v.exit_code == 2
@@ -204,6 +205,39 @@ def test_abstraction_check_spec_agrees_with_nested_loop_oracle(bounds):
             assert v.status is Status.HOLDS_AT_BOUNDS
         verdicts.add(v.status)
     assert Status.VIOLATED in verdicts
+
+
+def _hypothesis_case(name: str, spec: bool):
+    """(check, arguments, keyword arguments) of an abstraction check whose
+    hypothesis ``name`` fails: the client faults, the library is not
+    linearized, or (with the linearizability hypothesis skipped) the
+    composition faults."""
+    client, lib1, initial1, bounds = (corpus.push_pop_client(), corpus.mini_stack(),
+                                      corpus.MINI_INITIAL, SMALL)
+    lib2, initial2, kwargs = corpus.mini_stack(), corpus.MINI_INITIAL, {}
+    if name == "client":
+        client = UNSAFE_CLIENT
+    elif name == "linearizability hypothesis":
+        lib1, lib2, bounds = corpus.plain_stack(), corpus.plain_queue(), corpus.SEQUENTIAL_BOUNDS
+        initial1 = initial2 = corpus.PLAIN_INITIAL
+    else:
+        lib1, kwargs = UNSAFE_LIB, {"assume_linearizable": True}
+    if spec:
+        return (abstraction_check_spec, (client, GAMMA, corpus.CLIENT_INITIAL, lib1, initial1,
+                                         interf(lib2, GAMMA, initial2, bounds), bounds,
+                                         UNIVERSE), kwargs)
+    return (abstraction_check_code, (client, GAMMA, corpus.CLIENT_INITIAL, lib1, initial1,
+                                     lib2, initial2, bounds, UNIVERSE), kwargs)
+
+
+@pytest.mark.parametrize("spec", [False, True], ids=["code", "spec"])
+@pytest.mark.parametrize("name", ["client", "linearizability hypothesis", "composition unsafe"])
+def test_abstraction_check_hypothesis_failures(name, spec):
+    check, args, kwargs = _hypothesis_case(name, spec)
+    v = check(*args, **kwargs)
+    assert v.status is Status.HYPOTHESIS_FAILED
+    assert v.exit_code == 2
+    assert v.summary.startswith(f"{name}: "), v.summary
 
 
 def test_abstraction_checks_refuse_an_empty_initial_set():

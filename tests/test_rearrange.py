@@ -124,7 +124,7 @@ def test_rearrange_delinearizes_sequential_trace():
         assert linearized_by(target, h2) is not None
         tau = max(by_hist[h2], key=len)
         out, log = rearrange(corpus.plain_stack(), GAMMA, sigma0, tau, target,
-                             delta(sigma0), BOUNDS, debug=True)
+                             delta(sigma0), BOUNDS)
         assert history_of(out) == target
         assert library_trace_member(corpus.plain_stack(), GAMMA, sigma0, out, BOUNDS)
         rules |= _rules(log)
@@ -171,7 +171,7 @@ def test_client_rearrange_identity_and_alignment():
                 continue
             kappa = max(by_hist[src], key=len)
             out, _ = client_rearrange(client, GAMMA, sigma, kappa, target,
-                                      BOUNDS, debug=True)
+                                      BOUNDS)
             assert history_of(out) == target
             assert client_trace_member(client, GAMMA, sigma, out, BOUNDS)
             # trace equivalence: per-thread projections unchanged
@@ -198,14 +198,14 @@ def test_client_rearrange_uses_the_mirrored_rules():
     rules = set()
     for kappa in by_hist[src]:
         for target in targets:
-            out, log = client_rearrange(client, GAMMA, sigma, kappa, target, BOUNDS, debug=True)
+            out, log = client_rearrange(client, GAMMA, sigma, kappa, target, BOUNDS)
             assert history_of(out) == target
             rules |= _rules(log)
     assert rules == CLIENT_RULES
 
 
-# Loses the witness once the first stage is done, which only the debug
-# re-check after that stage can notice when the history has one action.
+# Loses the witness once the first stage is done, which only the re-check
+# after that stage can notice when the history has one action.
 _STRIPPED_ASSERTS = """
 import importlib
 from ownlin import corpus, delta
@@ -223,8 +223,8 @@ lib, sigma0 = corpus.mini_stack(), next(iter(corpus.MINI_INITIAL))
 client, sigma = corpus.push_pop_client(), next(iter(corpus.CLIENT_INITIAL))
 tau = one_action(denote_library(lib, g, sigma0, b))
 kappa = one_action(denote_client(client, g, sigma, b))
-for run in (lambda: r.rearrange(lib, g, sigma0, tau, history_of(tau), delta(sigma0), b, debug=True),
-            lambda: r.client_rearrange(client, g, sigma, kappa, history_of(kappa), b, debug=True)):
+for run in (lambda: r.rearrange(lib, g, sigma0, tau, history_of(tau), delta(sigma0), b),
+            lambda: r.client_rearrange(client, g, sigma, kappa, history_of(kappa), b)):
     try:
         run()
         print("no error")

@@ -38,16 +38,22 @@ from ownlin.lang import (
 from ownlin.semantics import (
     all_covers,
     client_of,
-    cover,
     denote_client,
     equivalence_key,
     ground,
     history_of,
-    lib_of,
     library_trace_member,
 )
 
-from helpers import equivalent_oracle
+from helpers import (
+    compose_decompose_oracle,
+    cover,
+    drop_last_command,
+    drop_transfer,
+    equivalent_oracle,
+    extra_cell,
+    lib_of,
+)
 
 THREADS = (1, 2)
 
@@ -186,6 +192,10 @@ def test_cover_and_all_covers():
     assert history_of(lam) == (psi_c, psi_r)
 
 
+_MINI_CLIENT = ClientProgram((seq(CallMethod("push"), CallMethod("pop")),))
+_CRITERION_06 = Bounds(star_unroll=1, mgc_iters=2, mgc_threads=2, max_trace_len=12)
+
+
 def test_compose_decompose_trivial():
     report = compose_decompose_check(
         corpus.one_command_client(), corpus.trivial_library(), corpus.gamma_trivial(),
@@ -195,33 +205,78 @@ def test_compose_decompose_trivial():
 
 def test_compose_decompose_mini_stack():
     report = compose_decompose_check(
-        ClientProgram((seq(CallMethod("push"), CallMethod("pop")),)),
-        corpus.mini_stack(), corpus.gamma_val(),
+        _MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),
         [ram({1: 7})], corpus.MINI_INITIAL, Bounds(1, 2, 1, 12))
     assert report.passed, report.counterexamples[:3]
 
 
 def test_compose_decompose_detects_mutant():
-    def drop_transfer(pairs):
-        out = []
-        for sigma, lam in pairs:
-            new = []
-            done = False
-            for a in lam:
-                if (not done and isinstance(a, InterfaceAction)
-                        and a.kind is Kind.CALL and a.transferred.cells):
-                    a = InterfaceAction(a.thread, a.kind, a.method, ram({}))
-                    done = True
-                new.append(a)
-            out.append((sigma, tuple(new)))
-        return out
-
     report = compose_decompose_check(
-        ClientProgram((seq(CallMethod("push"), CallMethod("pop")),)),
-        corpus.mini_stack(), corpus.gamma_val(),
+        _MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),
         [ram({1: 7})], corpus.MINI_INITIAL, Bounds(1, 1, 1, 12),
         library_transform=drop_transfer)
     assert not report.passed
+
+
+# name: (client, library, gamma, client initial, library initial, bounds,
+#        library transform, the laws it violates)
+_LEMMA_CASES = {
+    "trivial": (corpus.one_command_client(), corpus.trivial_library(),
+                corpus.gamma_trivial(), [ram({1: 0})], [ram({})], _CRITERION_06, None, set()),
+    "mini stack": (_MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),
+                   [ram({1: 7})], corpus.MINI_INITIAL, _CRITERION_06, None, set()),
+    "lock stack": (corpus.push_pop_client(), corpus.lock_stack(), corpus.gamma_val(),
+                   corpus.CLIENT_INITIAL, corpus.LOCK_STACK_INITIAL, _CRITERION_06, None, set()),
+    "extra cell": (corpus.push_pop_client(), corpus.mini_stack(), corpus.gamma_val(),
+                   corpus.CLIENT_INITIAL, corpus.MINI_INITIAL, Bounds(1, 1, 2, 10),
+                   extra_cell, {"compose", "decompose"}),
+    "drop transfer": (_MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),
+                      [ram({1: 7})], corpus.MINI_INITIAL, Bounds(1, 1, 1, 12),
+                      drop_transfer, {"decompose"}),
+    "drop last command": (_MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),
+                          [ram({1: 7})], corpus.MINI_INITIAL, Bounds(1, 1, 1, 12),
+                          drop_last_command, {"compose", "decompose"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEMMA_CASES))
+def test_compose_decompose_agrees_with_the_two_searches(name):
+    client, lib, gamma, i0, i1, bounds, transform, laws = _LEMMA_CASES[name]
+    got = compose_decompose_check(client, lib, gamma, i0, i1, bounds,
+                                  library_transform=transform)
+    want = compose_decompose_oracle(client, lib, gamma, i0, i1, bounds,
+                                    library_transform=transform)
+    assert got.passed == want.passed == (not laws)
+    assert {ce.law for ce in got.counterexamples} == {ce.law for ce in want.counterexamples} \
+        == laws
+
+
+_EXTRA_CELL_REPORT = """
+from helpers import extra_cell
+from ownlin import corpus
+from ownlin.lang import Bounds
+from ownlin.semantics import compose_decompose_check
+r = compose_decompose_check(corpus.push_pop_client(), corpus.mini_stack(), corpus.gamma_val(),
+                            corpus.CLIENT_INITIAL, corpus.MINI_INITIAL, Bounds(1, 1, 2, 10),
+                            library_transform=extra_cell)
+print(repr(r.counterexamples))
+"""
+
+
+def test_compose_decompose_counterexamples_ignore_hash_seed():
+    import os
+    import subprocess
+    import sys
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join([os.path.join(here, "..", "src"), here])
+    out = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        r = subprocess.run([sys.executable, "-c", _EXTRA_CELL_REPORT], env=env,
+                           capture_output=True, text=True, check=True)
+        out.append(r.stdout)
+    assert "compose" in out[0] and "decompose" in out[0]
+    assert out[0] == out[1]
 
 
 def test_projections_cover_complete_traces():

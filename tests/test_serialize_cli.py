@@ -245,11 +245,11 @@ _TARGET_HISTORY = (
 )
 
 
-def _target_file(tmp_path) -> str:
+def _target_file(tmp_path, history=_TARGET_HISTORY,
+                 initial=next(iter(corpus.MINI_INITIAL))) -> str:
     target = {
-        "initial": serialize.footprint_to_json(
-            delta(next(iter(corpus.MINI_INITIAL)))),
-        "history": serialize.history_to_json(_TARGET_HISTORY),
+        "initial": serialize.footprint_to_json(delta(initial)),
+        "history": serialize.history_to_json(history),
     }
     tpath = tmp_path / "target.json"
     serialize.dump_json(target, str(tpath))
@@ -263,6 +263,32 @@ def test_cli_rearrange(corpus_files, tmp_path, capsys):
     assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
     assert "log" in payload
 
+
+
+def test_cli_rearrange_target_no_trace_linearizes(corpus_files, tmp_path, capsys):
+    # one method call per thread at these bounds, so thread 1 cannot call twice
+    twice = (call(1, "push", ram({1: 7})), ret(1, "push", ram({1: 0})),
+             call(1, "push", ram({1: 7})))
+    assert main(["rearrange", corpus_files["mini"], _target_file(tmp_path, twice)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "no trace of the library linearizes the target history\n"
+
+
+def test_cli_rearrange_skips_an_initial_state_not_below_the_target(corpus_files, tmp_path,
+                                                                   capsys):
+    # [3:0, 4:0, 5:0] comes first and has traces that linearize the target, but
+    # it owns the cell 3, which the target's initial footprint lacks
+    skipped, chosen = ram({3: 0, 4: 0, 5: 0}), ram({4: 0, 5: 0, 6: 0})
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"] = [serialize.state_to_json(s) for s in (skipped, chosen)]
+    path = tmp_path / "two_initial.json"
+    serialize.dump_json(obj, str(path))
+    code = main(["rearrange", str(path), _target_file(tmp_path, initial=chosen)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["initial"] == serialize.state_to_json(chosen)
+    assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
 
 def test_cli_bad_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
@@ -369,6 +395,47 @@ def test_state_loader_rejects_a_cell_value_that_is_not_an_integer(cells, field, 
     # the keys are JSON strings and still decode
     assert serialize.state_from_json({"alg": "ram", "cells": {"4": 2}}) == ram({4: 2})
 
+
+@pytest.mark.parametrize("perm, got", [(0.1, "float"), (True, "bool")])
+def test_cli_state_permission_that_is_not_exact(corpus_files, tmp_path, perm, got, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"] = [{"alg": "ram_pi", "cells": {"4": [0, perm]}}]
+    path = tmp_path / "float_perm.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert (f"error: cells 4 permission: expected a permission string or integer, got {got}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("perm, got", [(0.5, "float"), (True, "bool")])
+def test_cli_footprint_permission_that_is_not_exact(tmp_path, perm, got, capsys):
+    hist = tmp_path / "hist.json"
+    foot = tmp_path / "foot.json"
+    serialize.dump_json([], str(hist))
+    serialize.dump_json({"alg": "ram_pi", "cells": {"4": {"perm": perm, "val": 0}}}, str(foot))
+    assert main(["check-balanced", str(hist), "--from", str(foot)]) == 2
+    assert (f"error: cells 4 perm: expected a permission string or integer, got {got}"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("perm, got", [(0.5, "float"), (True, "bool")])
+def test_cli_universe_permission_that_is_not_exact(corpus_files, tmp_path, perm, got, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["universe"]["permissions"] = ["1/2", perm]
+    path = tmp_path / "float_universe.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert (f"error: universe permissions: expected a permission string or integer, got {got}"
+            in capsys.readouterr().err)
+
+
+def test_permission_strings_and_integers_decode_exactly():
+    assert serialize.state_from_json({"alg": "ram_pi", "cells": {"4": [0, "1/2"]}}) \
+        == ram_pi({4: (0, Fraction(1, 2))})
+    assert serialize.state_from_json({"alg": "ram_pi", "cells": {"4": [0, 1]}}) \
+        == ram_pi({4: (0, Fraction(1))})
+    assert serialize.universe_from_json({"permissions": ["1/2", 1]}).permissions \
+        == (Fraction(1, 2), Fraction(1))
 
 @pytest.mark.parametrize("thread, got", [(1.9, "float"), (True, "bool"), ("1", "str")])
 def test_history_loader_rejects_a_thread_that_is_not_an_integer(thread, got):
