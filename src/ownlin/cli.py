@@ -17,7 +17,7 @@ from .frame import frame_check
 from .history import evaluate_footprint, linearized_by
 from .lang import Bounds, Program
 from .rearrange import rearrange
-from .semantics import denote_library, history_of, interf, trace_sort_key
+from .semantics import UnsafeComponentError, denote_library, history_of, interf, trace_sort_key
 from . import serialize
 
 
@@ -150,6 +150,13 @@ def _cmd_dump_interf(args) -> int:
     return 0
 
 
+def _sorted_library_traces(prog: Program, sigma0: State, bounds: Bounds) -> list:
+    d = denote_library(prog.library, prog.gamma, sigma0, bounds)
+    if d.faulted:
+        raise UnsafeComponentError(f"library faults at {sigma0!r}", d.fault_trace)
+    return sorted(d.traces, key=trace_sort_key)
+
+
 def _cmd_rearrange(args) -> int:
     prog = _load_program(args.library, "library", "gamma")
     target = serialize.expect_json(serialize.load_json(args.target), dict, "target")
@@ -160,8 +167,7 @@ def _cmd_rearrange(args) -> int:
     found = next(((sigma0, tau)
                   for sigma0 in sorted(prog.initial, key=State.sort_key)
                   if foot_leq(delta(sigma0), target_initial)
-                  for tau in sorted(denote_library(prog.library, prog.gamma, sigma0,
-                                                   bounds).traces, key=trace_sort_key)
+                  for tau in _sorted_library_traces(prog, sigma0, bounds)
                   if linearized_by(target_history, history_of(tau)) is not None), None)
     if found is None:
         print("no trace of the library linearizes the target history", file=sys.stderr)

@@ -1,10 +1,11 @@
-"""Command language: expressions, primitive commands, programs, trace sets.
+"""Command language: expressions, primitive commands, programs, thread tries.
 
 Commands are primitive commands, method calls, sequencing, nondeterministic
 choice and finite iteration.  Conditionals and while loops are sugar over
-``assume``.  Trace sets enumerate the order-theoretic behaviours of a program
-(bounded iteration, bounded interleaving length, prefix closed); the
-semantics module later filters them against states and ownership transfers.
+``assume``.  Each thread's bounded traces grow straight from its command tree
+into a prefix trie; the semantics module walks the product of those tries
+against states and ownership transfers.  The trace sets, the interleaved
+prefixes of the tries up to the length cap, serve as oracles.
 """
 
 from __future__ import annotations
@@ -196,38 +197,6 @@ Transformer = Callable[[int, State], Union[frozenset, Top]]
 
 def prim_transformer(c: PrimCommand) -> Transformer:
     return lambda t, s: prim_step(c, t, s)
-
-
-def conditional_cell_writer(t: int, s: State) -> frozenset[State] | Top:
-    """Writes 0 to cell 1 only when it is allocated; a no-op otherwise.
-
-    Built-in negative fixture: checks allocation without faulting, which
-    breaks locality.
-    """
-    if s.lookup(1) is not None:
-        new = dict(s.cells)
-        new[1] = 0
-        return frozenset((State(Algebra.RAM, new),))
-    return frozenset((s,))
-
-
-def neighbour_dependent_writer(t: int, s: State) -> frozenset[State] | Top:
-    """Writes to cell 1 a value whose choice depends on whether cell 2 exists.
-
-    Built-in negative fixture: local, but the extra state influences the
-    effect, which breaks strong locality.
-    """
-    if s.lookup(1) is None:
-        return TOP
-    if s.lookup(2) is not None:
-        new = dict(s.cells)
-        new[1] = 0
-        return frozenset((State(Algebra.RAM, new),))
-    a = dict(s.cells)
-    a[1] = 0
-    b = dict(s.cells)
-    b[1] = 1
-    return frozenset((State(Algebra.RAM, a), State(Algebra.RAM, b)))
 
 
 def validate_transformer(c: PrimCommand | Transformer, universe: StateUniverse,
@@ -511,61 +480,84 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# trace sets
+# per-thread tries and trace sets
 # ---------------------------------------------------------------------------
 
-Eta = Callable[[str, int], frozenset[Trace]]
-
-
-def command_traces(c: Command, t: int, eta: Eta, bounds: Bounds) -> frozenset[Trace]:
-    if isinstance(c, Prim):
-        return frozenset(((CmdAction(t, c.command),),))
-    if isinstance(c, CallMethod):
-        out = set()
-        for body in eta(c.method, t):
-            out.add((PlainCall(t, c.method),) + body + (PlainRet(t, c.method),))
-        return frozenset(out)
-    if isinstance(c, Seq):
-        first = command_traces(c.first, t, eta, bounds)
-        second = command_traces(c.second, t, eta, bounds)
-        return frozenset(a + b for a in first for b in second)
-    if isinstance(c, Choice):
-        return command_traces(c.left, t, eta, bounds) | command_traces(c.right, t, eta, bounds)
-    if isinstance(c, Star):
-        base = command_traces(c.body, t, eta, bounds)
-        out = {()}
-        layer = {()}
-        for _ in range(bounds.star_unroll):
-            layer = {a + b for a in layer for b in base}
-            out |= layer
-        return frozenset(out)
-    raise TypeError(f"not a command: {c!r}")
-
-
 class _Trie:
+    """A prefix-closed set of traces: each node stands for the path to it."""
+
     __slots__ = ("children",)
 
     def __init__(self):
         self.children: dict[Action, _Trie] = {}
 
-    def insert(self, tau: Trace) -> None:
-        node = self
-        for a in tau:
-            nxt = node.children.get(a)
-            if nxt is None:
-                nxt = _Trie()
-                node.children[a] = nxt
-            node = nxt
+    def child(self, a: Action) -> "_Trie":
+        """The child under ``a``, added when missing."""
+        nxt = self.children.get(a)
+        if nxt is None:
+            nxt = self.children[a] = _Trie()
+        return nxt
 
     @staticmethod
     def of(traces: Iterable[Trace]) -> "_Trie":
         root = _Trie()
         for tau in traces:
-            root.insert(tau)
+            node = root
+            for a in tau:
+                node = node.child(a)
         return root
 
 
-def _interleave_prefixes(tries: list[_Trie], cap: int) -> Iterator[Trace]:
+def _grow(c: Command, t: int, lib: Library | None, bounds: Bounds,
+          nodes: list[_Trie]) -> list[_Trie]:
+    """Add the bounded traces of ``c``, run by thread ``t``, below each of
+    ``nodes``; return the distinct nodes where they end.  A call runs its
+    method body only when ``lib`` is given.  Children are added in command
+    order, so the tries do not depend on hashing."""
+    if isinstance(c, Prim):
+        a = CmdAction(t, c.command)
+        return [node.child(a) for node in nodes]
+    if isinstance(c, CallMethod):
+        inside = [node.child(PlainCall(t, c.method)) for node in nodes]
+        if lib is not None:
+            inside = _grow(lib.body(c.method), t, None, bounds, inside)
+        return [node.child(PlainRet(t, c.method)) for node in inside]
+    if isinstance(c, Seq):
+        return _grow(c.second, t, lib, bounds, _grow(c.first, t, lib, bounds, nodes))
+    if isinstance(c, Choice):
+        ends = _grow(c.left, t, lib, bounds, nodes) + _grow(c.right, t, lib, bounds, nodes)
+        return list(dict.fromkeys(ends))
+    if isinstance(c, Star):
+        ends = layer = nodes
+        for _ in range(bounds.star_unroll):
+            layer = _grow(c.body, t, lib, bounds, layer)
+            ends = ends + layer
+        return list(dict.fromkeys(ends))
+    raise TypeError(f"not a command: {c!r}")
+
+
+def _client_tries(client: ClientProgram, lib: Library | None, bounds: Bounds) -> tuple[_Trie, ...]:
+    """One trie per client thread; with ``lib`` the calls run their bodies,
+    which makes the tries of the complete program."""
+    roots = tuple(_Trie() for _ in client.threads)
+    for t, (root, cmd) in enumerate(zip(roots, client.threads), 1):
+        _grow(cmd, t, lib, bounds, [root])
+    return roots
+
+
+def _library_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
+    """Most general client: each of N threads makes ``mgc_iters`` rounds of
+    calls, each round to any one method."""
+    roots = tuple(_Trie() for _ in range(bounds.mgc_threads))
+    for t, root in enumerate(roots, 1):
+        layer = [root]
+        for _ in range(bounds.mgc_iters):
+            layer = [end for m in lib.method_names
+                     for end in _grow(CallMethod(m), t, lib, bounds, layer)]
+    return roots
+
+
+def _interleave_prefixes(tries: Iterable[_Trie], cap: int) -> Iterator[Trace]:
     """All prefixes (length <= cap) of interleavings of the per-thread traces.
 
     Actions carry their thread id, so every emitted sequence is produced by
@@ -585,60 +577,16 @@ def _interleave_prefixes(tries: list[_Trie], cap: int) -> Iterator[Trace]:
                 nodes[i] = node
                 prefix.pop()
 
-    yield from walk(tries)
-
-
-def _interleaved_trace_set(per_thread: list[frozenset[Trace]], bounds: Bounds) -> frozenset[Trace]:
-    tries = [_Trie.of(traces) for traces in per_thread]
-    return frozenset(_interleave_prefixes(tries, bounds.max_trace_len))
-
-
-def _method_eta(lib: Library, bounds: Bounds) -> Eta:
-    cache: dict[tuple[str, int], frozenset[Trace]] = {}
-
-    def eta(m: str, t: int) -> frozenset[Trace]:
-        key = (m, t)
-        if key not in cache:
-            cache[key] = command_traces(lib.body(m), t, _empty_eta, bounds)
-        return cache[key]
-
-    return eta
-
-
-def _empty_eta(m: str, t: int) -> frozenset[Trace]:
-    return frozenset(((),))
-
-
-def _complete_threads(lib: Library, client: ClientProgram, bounds: Bounds) -> list[frozenset[Trace]]:
-    eta = _method_eta(lib, bounds)
-    return [command_traces(cmd, t + 1, eta, bounds) for t, cmd in enumerate(client.threads)]
-
-
-def _client_threads(client: ClientProgram, bounds: Bounds) -> list[frozenset[Trace]]:
-    return [command_traces(cmd, t + 1, _empty_eta, bounds) for t, cmd in enumerate(client.threads)]
-
-
-def _library_threads(lib: Library, bounds: Bounds) -> list[frozenset[Trace]]:
-    """Most general client: each of N threads loops over arbitrary methods."""
-    names = lib.method_names
-    if not names:
-        return []
-    eta = _method_eta(lib, bounds)
-    mgc = Star(choice(*(CallMethod(m) for m in names)))
-    mgc_bounds = Bounds(star_unroll=bounds.mgc_iters,
-                        mgc_iters=bounds.mgc_iters,
-                        mgc_threads=bounds.mgc_threads,
-                        max_trace_len=bounds.max_trace_len)
-    return [command_traces(mgc, t, eta, mgc_bounds) for t in range(1, bounds.mgc_threads + 1)]
+    yield from walk(list(tries))
 
 
 def complete_trace_set(lib: Library, client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
-    return _interleaved_trace_set(_complete_threads(lib, client, bounds), bounds)
+    return frozenset(_interleave_prefixes(_client_tries(client, lib, bounds), bounds.max_trace_len))
 
 
 def client_trace_set(client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
-    return _interleaved_trace_set(_client_threads(client, bounds), bounds)
+    return frozenset(_interleave_prefixes(_client_tries(client, None, bounds), bounds.max_trace_len))
 
 
 def library_trace_set(lib: Library, bounds: Bounds) -> frozenset[Trace]:
-    return _interleaved_trace_set(_library_threads(lib, bounds), bounds)
+    return frozenset(_interleave_prefixes(_library_tries(lib, bounds), bounds.max_trace_len))

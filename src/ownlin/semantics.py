@@ -41,9 +41,8 @@ from .lang import (
     TOP,
     Trace,
     _Trie,
-    _client_threads,
-    _complete_threads,
-    _library_threads,
+    _client_tries,
+    _library_tries,
     is_call,
     is_interface,
     prim_step,
@@ -203,14 +202,12 @@ def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) 
     return Denotation(fault is not None, fault, frozenset(traces) if fault is None else frozenset())
 
 
-@lru_cache(maxsize=64)
-def _library_thread_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
-    return tuple(_Trie.of(ts) for ts in _library_threads(lib, bounds))
+_library_thread_tries = lru_cache(maxsize=64)(_library_tries)
 
 
 @lru_cache(maxsize=64)
 def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, ...]:
-    return tuple(_Trie.of(ts) for ts in _client_threads(client, bounds))
+    return _client_tries(client, None, bounds)
 
 
 def walk_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds, *,
@@ -230,8 +227,7 @@ def denote_client(client: ClientProgram, gamma: MethodSpec, sigma: State, bounds
 
 
 def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: Bounds) -> Denotation:
-    tries = tuple(_Trie.of(ts) for ts in _complete_threads(lib, client, bounds))
-    return _denote(COMPLETE, tries, sigma, bounds)
+    return _denote(COMPLETE, _client_tries(client, lib, bounds), sigma, bounds)
 
 
 def clear_caches() -> None:

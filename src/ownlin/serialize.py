@@ -72,12 +72,19 @@ def expect_json(value, kind: type, field: str):
 
 
 def _permission(value, field: str) -> Fraction:
-    """The exact permission a JSON string (``"1/2"``) or integer spells; a
-    float or a boolean is an input error naming the field."""
+    """The exact permission in (0, 1] a JSON string (``"1/2"``) or integer
+    spells; a float, a boolean, a string that spells no fraction or a value
+    out of range is an input error naming the field."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"{field}: expected a permission string or integer, "
                          f"got {type(value).__name__}")
-    return Fraction(value)
+    try:
+        perm = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{field}: not a fraction: {value!r}") from None
+    if not 0 < perm <= 1:
+        raise ValueError(f"{field}: permission out of (0,1]: {value}")
+    return perm
 
 
 def state_to_json(s: State) -> dict:
@@ -346,15 +353,17 @@ def universe_from_json(obj: Mapping) -> StateUniverse:
     expect_json(obj, dict, "universe")
     base = StateUniverse()
 
-    def ints(key: str, default: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(expect_json(x, int, f"universe {key}") for x in obj.get(key, default))
+    def field(key: str, decode=lambda x, name: expect_json(x, int, name)) -> tuple:
+        if key not in obj:
+            return getattr(base, key)
+        name = f"universe {key}"
+        return tuple(decode(x, name) for x in expect_json(obj[key], list, name))
 
     return StateUniverse(
-        locations=ints("locations", base.locations),
-        values=ints("values", base.values),
-        permissions=tuple(_permission(x, "universe permissions") for x in obj["permissions"])
-        if "permissions" in obj else base.permissions,
-        threads=ints("threads", base.threads),
+        locations=field("locations"),
+        values=field("values"),
+        permissions=field("permissions", _permission),
+        threads=field("threads"),
     )
 
 

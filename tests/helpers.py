@@ -11,8 +11,9 @@ from __future__ import annotations
 import random
 from collections import Counter, defaultdict
 from itertools import permutations
+from typing import Callable
 
-from ownlin.algebra import ParamPredicate, Recorder, State, star, star_set
+from ownlin.algebra import Algebra, ParamPredicate, Recorder, State, star, star_set
 from ownlin.footprint import delta, foot_add, foot_leq
 from ownlin.frame import (
     Hypothesis4Witness,
@@ -25,12 +26,23 @@ from ownlin.history import InterfaceAction, Kind, LeqEntry, LeqReport, call, lin
 from ownlin.lang import (
     Assume,
     Bounds,
+    CallMethod,
+    Choice,
+    ClientProgram,
+    CmdAction,
+    Command,
     Library,
     MethodSpec,
+    PlainCall,
+    PlainRet,
     Prim,
     Program,
+    Seq,
+    Star,
     TID,
     TOP,
+    Top,
+    Trace,
     choice,
     is_interface,
     library,
@@ -404,3 +416,102 @@ def random_library(rng: random.Random, gamma: MethodSpec) -> Library:
 
 RANDOM_LIB_INITIAL = frozenset({ram({4: 0, 5: 0})})
 RANDOM_LIB_BOUNDS = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=2, max_trace_len=8)
+
+
+# ---------------------------------------------------------------------------
+# per-thread trace sets, built set by set from the command semantics
+# ---------------------------------------------------------------------------
+
+Eta = Callable[[str, int], frozenset[Trace]]
+
+
+def command_traces(c: Command, t: int, eta: Eta, bounds: Bounds) -> frozenset[Trace]:
+    """Every bounded trace of ``c`` run by thread ``t``; ``eta`` gives the
+    traces of a method body."""
+    if isinstance(c, Prim):
+        return frozenset(((CmdAction(t, c.command),),))
+    if isinstance(c, CallMethod):
+        out = set()
+        for body in eta(c.method, t):
+            out.add((PlainCall(t, c.method),) + body + (PlainRet(t, c.method),))
+        return frozenset(out)
+    if isinstance(c, Seq):
+        first = command_traces(c.first, t, eta, bounds)
+        second = command_traces(c.second, t, eta, bounds)
+        return frozenset(a + b for a in first for b in second)
+    if isinstance(c, Choice):
+        return command_traces(c.left, t, eta, bounds) | command_traces(c.right, t, eta, bounds)
+    if isinstance(c, Star):
+        base = command_traces(c.body, t, eta, bounds)
+        out = {()}
+        layer = {()}
+        for _ in range(bounds.star_unroll):
+            layer = {a + b for a in layer for b in base}
+            out |= layer
+        return frozenset(out)
+    raise TypeError(f"not a command: {c!r}")
+
+
+def _method_eta(lib: Library, bounds: Bounds) -> Eta:
+    return lambda m, t: command_traces(lib.body(m), t, _empty_eta, bounds)
+
+
+def _empty_eta(m: str, t: int) -> frozenset[Trace]:
+    return frozenset(((),))
+
+
+def reference_client_threads(client: ClientProgram, lib: Library | None,
+                             bounds: Bounds) -> list[frozenset[Trace]]:
+    """Per-thread trace sets of a client; with ``lib`` its calls run their
+    bodies, as in the complete program."""
+    eta = _empty_eta if lib is None else _method_eta(lib, bounds)
+    return [command_traces(cmd, t + 1, eta, bounds) for t, cmd in enumerate(client.threads)]
+
+
+def reference_library_threads(lib: Library, bounds: Bounds) -> list[frozenset[Trace]]:
+    """Most general client: each of N threads loops over arbitrary methods,
+    unrolled ``mgc_iters`` times."""
+    names = lib.method_names
+    if not names:
+        return []
+    mgc = Star(choice(*(CallMethod(m) for m in names)))
+    mgc_bounds = Bounds(star_unroll=bounds.mgc_iters, mgc_iters=bounds.mgc_iters,
+                        mgc_threads=bounds.mgc_threads, max_trace_len=bounds.max_trace_len)
+    return [command_traces(mgc, t, _method_eta(lib, bounds), mgc_bounds)
+            for t in range(1, bounds.mgc_threads + 1)]
+
+
+# ---------------------------------------------------------------------------
+# negative fixtures for validate_transformer
+# ---------------------------------------------------------------------------
+
+def conditional_cell_writer(t: int, s: State) -> frozenset[State] | Top:
+    """Writes 0 to cell 1 only when it is allocated; a no-op otherwise.
+
+    Negative fixture: checks allocation without faulting, which
+    breaks locality.
+    """
+    if s.lookup(1) is not None:
+        new = dict(s.cells)
+        new[1] = 0
+        return frozenset((State(Algebra.RAM, new),))
+    return frozenset((s,))
+
+
+def neighbour_dependent_writer(t: int, s: State) -> frozenset[State] | Top:
+    """Writes to cell 1 a value whose choice depends on whether cell 2 exists.
+
+    Negative fixture: local, but the extra state influences the
+    effect, which breaks strong locality.
+    """
+    if s.lookup(1) is None:
+        return TOP
+    if s.lookup(2) is not None:
+        new = dict(s.cells)
+        new[1] = 0
+        return frozenset((State(Algebra.RAM, new),))
+    a = dict(s.cells)
+    a[1] = 0
+    b = dict(s.cells)
+    b[1] = 1
+    return frozenset((State(Algebra.RAM, a), State(Algebra.RAM, b)))

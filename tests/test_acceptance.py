@@ -37,8 +37,6 @@ from ownlin.lang import (
     SKIP,
     TOP,
     assume,
-    conditional_cell_writer,
-    neighbour_dependent_writer,
     seq,
     store,
 )
@@ -55,9 +53,11 @@ from ownlin.semantics import (
 from helpers import (
     RANDOM_LIB_BOUNDS,
     RANDOM_LIB_INITIAL,
+    conditional_cell_writer,
     delinearize,
     exhaustive_histories,
     linearized_by_bruteforce,
+    neighbour_dependent_writer,
     random_gamma,
     random_history,
     random_library,

@@ -23,16 +23,16 @@ from ownlin.lang import (
     assume,
     client_trace_set,
     complete_trace_set,
-    conditional_cell_writer,
     desugar_if,
     desugar_while,
     library,
     library_trace_set,
-    neighbour_dependent_writer,
     seq,
     store,
 )
 from ownlin.history import check_well_formed
+
+from helpers import conditional_cell_writer, neighbour_dependent_writer
 
 UNIVERSE = StateUniverse()
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ownlin import Algebra, corpus, delta, ram, ram_pi
+from ownlin.checker import Status, check_lin_code
 from ownlin.cli import main
 from ownlin.footprint import Full, ram_foot, ram_pi_foot
 from ownlin.history import call, ret
@@ -290,6 +291,17 @@ def test_cli_rearrange_skips_an_initial_state_not_below_the_target(corpus_files,
     assert payload["initial"] == serialize.state_to_json(chosen)
     assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
 
+def test_cli_rearrange_of_a_faulting_library_is_an_input_error(corpus_files, tmp_path, capsys):
+    # the scribbler writes into a pushed object that gamma_val does not transfer
+    code = main(["rearrange", corpus_files["scribbler"], _target_file(tmp_path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: library faults at [4:0, 5:0]\n"
+    assert main(["dump-interf", corpus_files["scribbler"]]) == 2
+    assert capsys.readouterr().err == captured.err
+
+
 def test_cli_bad_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -436,6 +448,58 @@ def test_permission_strings_and_integers_decode_exactly():
         == ram_pi({4: (0, Fraction(1))})
     assert serialize.universe_from_json({"permissions": ["1/2", 1]}).permissions \
         == (Fraction(1, 2), Fraction(1))
+
+@pytest.mark.parametrize("universe, message", [
+    ({"permissions": "12"}, "universe permissions: expected a JSON array, got str"),
+    ({"locations": "12"}, "universe locations: expected a JSON array, got str"),
+    ({"permissions": [0, 1]}, "universe permissions: permission out of (0,1]: 0"),
+    ({"permissions": ["1/2", 2]}, "universe permissions: permission out of (0,1]: 2"),
+    ({"permissions": ["1/0"]}, "universe permissions: not a fraction: '1/0'"),
+])
+def test_cli_universe_of_the_wrong_shape_or_range(tmp_path, universe, message, capsys):
+    path = tmp_path / "universe.json"
+    serialize.dump_json(universe, str(path))
+    assert main(["--universe", str(path), "validate-algebra", "--alg", "ram_pi"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("perm, message", [("3/2", "permission out of (0,1]: 3/2"),
+                                           ("abc", "not a fraction: 'abc'")])
+def test_cli_state_permission_out_of_range_names_its_field(corpus_files, tmp_path, perm,
+                                                           message, capsys):
+    obj = serialize.load_json(corpus_files["mini"])
+    obj["initial"] = [{"alg": "ram_pi", "cells": {"4": [0, perm]}}]
+    path = tmp_path / "bad_perm.json"
+    serialize.dump_json(obj, str(path))
+    assert main(["dump-interf", str(path)]) == 2
+    assert f"error: cells 4 permission: {message}" in capsys.readouterr().err
+
+
+def _nop_contract(pred_json: dict):
+    return serialize.gamma_from_json({"nop": {"pre": pred_json, "post": pred_json}},
+                                     Algebra.RAM)
+
+
+def test_contract_default_round_trips_and_covers_every_thread():
+    empty = [serialize.state_to_json(ram({}))]
+    default_only = _nop_contract({"*": empty})
+    assert default_only.pre("nop").default is not None
+    assert serialize.gamma_to_json(default_only) == {"nop": {"pre": {"*": empty},
+                                                             "post": {"*": empty}}}
+    mixed = _nop_contract({"1": empty, "*": empty})
+    assert serialize.gamma_from_json(serialize.gamma_to_json(mixed), Algebra.RAM) == mixed
+
+    lib, initial = corpus.trivial_library(), frozenset({ram({})})
+    bounds = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=3, max_trace_len=6)
+    held = check_lin_code(lib, default_only, initial, lib, initial, bounds)
+    assert held.status is Status.HOLDS_AT_BOUNDS
+    named = check_lin_code(lib, _nop_contract({"1": empty, "2": empty}), initial,
+                           lib, initial, bounds)
+    assert named.status is Status.HYPOTHESIS_FAILED
+    assert "does not cover thread 3" in named.summary
+
 
 @pytest.mark.parametrize("thread, got", [(1.9, "float"), (True, "bool"), ("1", "str")])
 def test_history_loader_rejects_a_thread_that_is_not_an_integer(thread, got):

@@ -1,0 +1,126 @@
+"""The per-thread tries grown from the command tree, against trace sets built
+set by set from the command semantics (``helpers.command_traces``).
+
+A trie is fixed by its set of paths, which must be the prefix closure of the
+thread's reference trace set.  Its child order follows the command tree, so
+the walk, and the fault trace it reports, do not depend on the hash seed.
+"""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from ownlin import corpus
+from ownlin.lang import (
+    SKIP,
+    Bounds,
+    Choice,
+    Prim,
+    Star,
+    _client_tries,
+    _interleave_prefixes,
+    _library_tries,
+    _Trie,
+    client_trace_set,
+    complete_trace_set,
+    library,
+    library_trace_set,
+    seq,
+    store,
+)
+
+from helpers import reference_client_threads, reference_library_threads
+
+BOUNDS = (Bounds(1, 1, 1, 6), Bounds(1, 2, 2, 6), Bounds(2, 1, 2, 5),
+          Bounds(0, 1, 2, 5), Bounds(2, 1, 1, 7))
+
+LIBRARIES = (
+    ("lock_stack", corpus.lock_stack()),
+    ("plain_stack", corpus.plain_stack()),
+    ("plain_queue", corpus.plain_queue()),
+    ("scribbler_stack", corpus.scribbler_stack()),
+    ("mini_stack", corpus.mini_stack()),
+    ("mini_stack_slow", corpus.mini_stack_slow()),
+    ("mini_stack_scribbler", corpus.mini_stack_scribbler()),
+    ("trivial_library", corpus.trivial_library()),
+    ("nested_stars", library({"m": Star(Choice(Prim(SKIP), Star(Prim(store(4, 1)))))})),
+    ("shared_prefix", library({"m": Choice(seq(Prim(SKIP), Prim(store(4, 1))),
+                                           seq(Prim(SKIP), Prim(store(4, 2)))),
+                               "n": Prim(SKIP)})),
+)
+
+# (name, client, library its calls run in the complete program)
+CLIENTS = (
+    ("push_pop_1", corpus.push_pop_client(1), corpus.mini_stack()),
+    ("push_pop_2", corpus.push_pop_client(2), corpus.lock_stack()),
+    ("one_command", corpus.one_command_client(), corpus.trivial_library()),
+)
+
+
+def _paths(trie):
+    out = set()
+
+    def walk(node, path):
+        out.add(path)
+        for action, child in node.children.items():
+            walk(child, path + (action,))
+
+    walk(trie, ())
+    return out
+
+
+def _prefix_closure(traces):
+    return {tau[:i] for tau in traces for i in range(len(tau) + 1)}
+
+
+def _check(tries, reference, trace_set, bounds):
+    assert [_paths(trie) for trie in tries] == [_prefix_closure(ts) for ts in reference]
+    rebuilt = [_Trie.of(ts) for ts in reference]
+    assert trace_set == frozenset(_interleave_prefixes(rebuilt, bounds.max_trace_len))
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+@pytest.mark.parametrize("name,lib", LIBRARIES, ids=[c[0] for c in LIBRARIES])
+def test_library_tries_match_the_reference(name, lib, bounds):
+    _check(_library_tries(lib, bounds), reference_library_threads(lib, bounds),
+           library_trace_set(lib, bounds), bounds)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+@pytest.mark.parametrize("name,client,lib", CLIENTS, ids=[c[0] for c in CLIENTS])
+def test_client_and_complete_tries_match_the_reference(name, client, lib, bounds):
+    _check(_client_tries(client, None, bounds), reference_client_threads(client, None, bounds),
+           client_trace_set(client, bounds), bounds)
+    _check(_client_tries(client, lib, bounds), reference_client_threads(client, lib, bounds),
+           complete_trace_set(lib, client, bounds), bounds)
+
+
+_FAULT_TRACES = """
+from ownlin.lang import Bounds
+from ownlin.semantics import UnsafeComponentError, denote_library, interf
+from test_engine import FAULTING
+
+bounds = Bounds(1, 2, 2, 8)
+for name, lib, gamma, initial in FAULTING:
+    (sigma,) = initial
+    print(name, denote_library(lib, gamma, sigma, bounds).fault_trace)
+    try:
+        interf(lib, gamma, initial, bounds)
+    except UnsafeComponentError as exc:
+        print(name, exc.fault_trace)
+"""
+
+
+def test_fault_traces_do_not_depend_on_the_hash_seed():
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join((os.path.join(here, "..", "src"), here))
+    outputs = []
+    for seed in ("0", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _FAULT_TRACES], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0].count("\n") == 2 * 3
+    assert outputs[0] == outputs[1]
