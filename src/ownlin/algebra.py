@@ -13,15 +13,17 @@ permission sums must compare exactly against 1.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
-class Algebra(Enum):
+# str mixin: a member hashes in C; spell it by ``.value``, as formatting differs by version
+class Algebra(str, Enum):
     RAM = "ram"
     RAM_PI = "ram_pi"
 
@@ -72,9 +74,21 @@ class State:
                 val, perm = payload  # type: ignore[misc]
                 norm.append((loc, (int(val), _as_perm(perm))))
         norm.sort()
+        self._set(algebra, tuple(norm))
+
+    def _set(self, algebra: Algebra, cells: tuple) -> None:
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "cells", tuple(norm))
-        object.__setattr__(self, "_hash", hash((algebra, self.cells)))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_hash", hash((algebra, cells)))
+
+    @classmethod
+    def _trusted(cls, algebra: Algebra, cells: dict) -> "State":
+        """A state of ``cells`` that already passed the checks of
+        ``__init__``: taken whole from valid states, or combined from their
+        cells by the algebra's own operations."""
+        s = object.__new__(cls)
+        s._set(algebra, tuple(sorted(cells.items())))
+        return s
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("State is immutable")
@@ -130,7 +144,7 @@ def empty(algebra: Algebra) -> State:
 
 def _require_same_algebra(a, b) -> Algebra:
     if a.algebra is not b.algebra:
-        raise ValueError(f"mixed algebras: {a.algebra} vs {b.algebra}")
+        raise ValueError(f"mixed algebras: {a.algebra.value} vs {b.algebra.value}")
     return a.algebra
 
 
@@ -143,7 +157,7 @@ def star(s1: State, s2: State) -> Optional[State]:
             if loc in merged:
                 return None
             merged[loc] = val
-        return State(alg, merged)
+        return State._trusted(alg, merged)
     merged_pi: dict[int, tuple[int, Fraction]] = dict(s1.cells)
     for loc, (val, perm) in s2.cells:
         if loc in merged_pi:
@@ -153,7 +167,7 @@ def star(s1: State, s2: State) -> Optional[State]:
             merged_pi[loc] = (v1, p1 + perm)
         else:
             merged_pi[loc] = (val, perm)
-    return State(alg, merged_pi)
+    return State._trusted(alg, merged_pi)
 
 
 def state_sub(s2: State, s1: State) -> Optional[State]:
@@ -168,7 +182,7 @@ def state_sub(s2: State, s1: State) -> Optional[State]:
             if rest.get(loc) != val:
                 return None
             del rest[loc]
-        return State(alg, rest)
+        return State._trusted(alg, rest)
     for loc, (val, perm) in s1.cells:
         have = rest.get(loc)
         if have is None:
@@ -180,7 +194,7 @@ def state_sub(s2: State, s1: State) -> Optional[State]:
             del rest[loc]
         else:
             rest[loc] = (v2, p2 - perm)
-    return State(alg, rest)
+    return State._trusted(alg, rest)
 
 
 @dataclass(frozen=True)

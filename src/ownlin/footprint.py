@@ -13,7 +13,8 @@ definitions by exhaustive enumeration.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from collections.abc import Mapping
+from typing import Iterable, Optional, Union
 
 from .algebra import (
     Algebra,
@@ -58,9 +59,21 @@ class Footprint:
                     cooked.append((loc, (perm, int(val))))
             cooked.sort(key=lambda e: e[0])
             norm = tuple(cooked)
+        self._set(algebra, norm)
+
+    def _set(self, algebra: Algebra, entries: tuple) -> None:
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "entries", norm)
-        object.__setattr__(self, "_hash", hash((algebra, norm)))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_hash", hash((algebra, entries)))
+
+    @classmethod
+    def _trusted(cls, algebra: Algebra, entries: Iterable) -> "Footprint":
+        """A footprint of distinct ``entries`` that already passed the
+        checks of ``__init__``: taken from valid states or footprints, or
+        combined from theirs by the calculus below."""
+        f = object.__new__(cls)
+        f._set(algebra, tuple(sorted(entries)))
+        return f
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Footprint is immutable")
@@ -119,11 +132,9 @@ def empty_foot(algebra: Algebra) -> Footprint:
 def delta(s: State) -> Footprint:
     """Footprint of a state."""
     if s.algebra is Algebra.RAM:
-        return Footprint(Algebra.RAM, s.domain)
-    entries = []
-    for loc, (val, perm) in s.cells:
-        entries.append((loc, Full if perm == 1 else (perm, val)))
-    return Footprint(Algebra.RAM_PI, entries)
+        return Footprint._trusted(Algebra.RAM, s.domain)
+    return Footprint._trusted(Algebra.RAM_PI, [
+        (loc, Full if perm == 1 else (perm, val)) for loc, (val, perm) in s.cells])
 
 
 def _same_algebra(l1: Footprint, l2: Footprint) -> Algebra:
@@ -138,7 +149,7 @@ def foot_add(l1: Footprint, l2: Footprint) -> Optional[Footprint]:
         s1, s2 = set(l1.entries), set(l2.entries)
         if s1 & s2:
             return None
-        return Footprint(alg, s1 | s2)
+        return Footprint._trusted(alg, s1 | s2)
     merged: dict[int, PiEntry] = dict(l1.entries)
     for loc, payload in l2.entries:
         have = merged.get(loc)
@@ -152,7 +163,7 @@ def foot_add(l1: Footprint, l2: Footprint) -> Optional[Footprint]:
         if v1 != v2 or p1 + p2 > 1:
             return None
         merged[loc] = Full if p1 + p2 == 1 else (p1 + p2, v1)
-    return Footprint(alg, merged)
+    return Footprint._trusted(alg, merged.items())
 
 
 def foot_sub(l2: Footprint, l1: Footprint) -> Optional[Footprint]:
@@ -162,7 +173,7 @@ def foot_sub(l2: Footprint, l1: Footprint) -> Optional[Footprint]:
         s1, s2 = set(l1.entries), set(l2.entries)
         if not s1 <= s2:
             return None
-        return Footprint(alg, s2 - s1)
+        return Footprint._trusted(alg, s2 - s1)
     rest: dict[int, PiEntry] = dict(l2.entries)
     for loc, payload in l1.entries:
         have = rest.get(loc)
@@ -185,7 +196,7 @@ def foot_sub(l2: Footprint, l1: Footprint) -> Optional[Footprint]:
                 del rest[loc]
             else:
                 rest[loc] = (p2 - p1, v2)
-    return Footprint(alg, rest)
+    return Footprint._trusted(alg, rest.items())
 
 
 def foot_leq(l1: Footprint, l2: Footprint) -> bool:

@@ -17,7 +17,8 @@ from .algebra import State
 from .footprint import Footprint, delta, foot_add, foot_leq, foot_sub
 
 
-class Kind(Enum):
+# str mixin: a member hashes in C; spell it by ``.value``, as formatting differs by version
+class Kind(str, Enum):
     CALL = "call"
     RET = "ret"
 

@@ -35,6 +35,10 @@ from .history import InterfaceAction, Kind
 class IntLit:
     value: int
 
+    def __post_init__(self):  # a store puts the value in a state unchecked
+        if type(self.value) is not int:
+            raise TypeError(f"not an integer literal: {self.value!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class Tid:
@@ -182,13 +186,13 @@ def prim_step(c: PrimCommand, t: int, s: State) -> frozenset[State] | Top:
         if s.algebra is Algebra.RAM:
             new = dict(s.cells)
             new[addr] = val
-            return frozenset((State(Algebra.RAM, new),))
+            return frozenset((State._trusted(Algebra.RAM, new),))
         _, perm = cell  # type: ignore[misc]
         if perm != 1:
             return TOP
         new = dict(s.cells)
         new[addr] = (val, perm)
-        return frozenset((State(Algebra.RAM_PI, new),))
+        return frozenset((State._trusted(Algebra.RAM_PI, new),))
     raise TypeError(f"not a primitive command: {c!r}")
 
 

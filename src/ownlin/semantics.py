@@ -148,22 +148,27 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
     every annotated trace reached; each path spells one ground trace, which
     with its annotation fixes the state.  ``histories_only`` keeps interface
     actions only and skips a (trie nodes, state, history) already walked: the
-    nodes fix the depth, so the cap cuts the same behaviours.  ``cuts``, a set
+    nodes fix the depth, so the cap cuts the same behaviours.  It keys each
+    history by an integer, hash-consed from its parent's id and its last
+    annotated action, so no step hashes a whole history.  ``cuts``, a set
     of histories none of which is a prefix of another, keeps the walk to
     paths whose history is a prefix of a cut, and returns only the traces
     whose history is a cut, without walking past them."""
     collected: set[Trace] = set()
     seen: set | None = set() if histories_only else None
+    # (id of a history, annotated action) -> id of the history it extends to
+    ids: dict[tuple[int, InterfaceAction], int] = {}
     prefix: list = []
 
-    # ``cut_node``: where the history so far sits in the trie of the cuts
-    def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace,
+    # ``hid``: the id of ``acc`` when ``histories_only``; ``cut_node``: where
+    # the history so far sits in the trie of the cuts
+    def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace, hid: int,
              cut_node: _Trie | None) -> Trace | None:
         if seen is not None:
-            key = (nodes, st, acc)
-            if key in seen:
+            n = len(seen)
+            seen.add((nodes, st, hid))
+            if len(seen) == n:
                 return None
-            seen.add(key)
         if cut_node is None:
             collected.add(acc)
         elif not cut_node.children:
@@ -185,8 +190,11 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
                         child_cut = cut_node.children.get(a2)
                         if child_cut is None:
                             continue
+                    nid = hid
+                    if interface and histories_only:
+                        nid = ids.setdefault((hid, a2), len(ids) + 1)
                     keep = interface or not histories_only
-                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc, child_cut)
+                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc, nid, child_cut)
                     if fault is not None:
                         return fault
                 prefix.pop()
@@ -194,7 +202,7 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
 
     if cuts is not None and not cuts:
         return None, collected
-    return walk(tries, 0, sigma, (), None if cuts is None else _Trie.of(cuts)), collected
+    return walk(tries, 0, sigma, (), 0, None if cuts is None else _Trie.of(cuts)), collected
 
 
 def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) -> Denotation:

@@ -16,6 +16,7 @@ from ownlin import (
     state_sub,
 )
 from ownlin.algebra import State
+from ownlin.lang import TOP, prim_step, store
 
 from helpers import state_sub_oracle
 
@@ -47,6 +48,12 @@ def test_star_ram_pi_oversum_undefined():
 def test_star_mixed_algebras_rejected():
     with pytest.raises(ValueError):
         star(ram({1: 0}), ram_pi({1: (0, 1)}))
+
+
+def test_mixed_algebras_message_spells_the_values():
+    with pytest.raises(ValueError) as exc:
+        state_sub(ram({1: 0}), ram_pi({1: (0, 1)}))
+    assert str(exc.value) == "mixed algebras: ram vs ram_pi"
 
 
 def test_state_sub_inverts_disjoint_union():
@@ -156,3 +163,31 @@ def test_universe_enumeration_cache_is_bounded():
         StateUniverse(locations=(1,), values=(v,)).states(Algebra.RAM)
     info = StateUniverse.states.cache_info()
     assert info.maxsize == 64 and info.currsize <= 64
+
+
+def _assert_rebuilds(r):
+    # a successor built without the checks equals the one the validating
+    # constructor builds from its cells, hash included
+    again = State(r.algebra, r.cells)
+    assert r == again and hash(r) == hash(again)
+
+
+@pytest.mark.parametrize("algebra", list(Algebra), ids=lambda a: a.value)
+def test_trusted_successors_equal_validated_states(algebra):
+    states = UNIVERSE.states(algebra)
+    defined = {"star": 0, "state_sub": 0, "store": 0}
+    for a in states:
+        for b in states:
+            for name, r in (("star", star(a, b)), ("state_sub", state_sub(a, b))):
+                if r is not None:
+                    _assert_rebuilds(r)
+                    defined[name] += 1
+        for loc in UNIVERSE.locations:
+            for val in UNIVERSE.values:
+                for t in UNIVERSE.threads:
+                    r = prim_step(store(loc, val), t, a)
+                    if r is not TOP:
+                        (post,) = r
+                        _assert_rebuilds(post)
+                        defined["store"] += 1
+    assert all(defined.values()), defined

@@ -6,9 +6,11 @@ the annotated traces of the trie rebuilt from the matching trace set and
 evaluated node by node, the construction the engine replaces.
 """
 
+from fractions import Fraction
+
 import pytest
 
-from ownlin import corpus, ram, star
+from ownlin import corpus, ram, ram_pi, star
 from ownlin.algebra import ParamPredicate
 from ownlin.footprint import delta
 from ownlin.history import InterfaceAction
@@ -18,6 +20,7 @@ from ownlin.lang import (
     Bounds,
     Deref,
     IntLit,
+    Not,
     Prim,
     _Trie,
     client_trace_set,
@@ -50,8 +53,23 @@ BOUNDS = (Bounds(1, 1, 2, 6), Bounds(1, 2, 2, 7))
 
 GAMMA = corpus.gamma_val()
 GAMMA_OBJ = corpus.gamma_obj()
+HALF = Fraction(1, 2)
 
-# (name, library, contract, initial states): every corpus library, safe
+
+def _cell_one(perm):
+    return ParamPredicate.from_fn(lambda t: [ram_pi({1: (v, perm)}) for v in (0, 1)], (1, 2))
+
+
+# a reader borrows half of cell 1 and copies it into the library's cell 2; a
+# writer needs all of cell 1 and flips it.  Two readers' halves of one value
+# add up to the full permission, and no writer's call composes with a reader
+READ_WRITE_PI = library({"read": Prim(store(2, Deref(IntLit(1)))),
+                         "write": Prim(store(1, Not(Deref(IntLit(1)))))})
+GAMMA_READ_WRITE_PI = method_spec({"read": (_cell_one(HALF), _cell_one(HALF)),
+                                   "write": (_cell_one(1), _cell_one(1))})
+
+# (name, library, contract, initial states): every corpus library and the
+# RAM_PI one above, all safe
 LIBRARIES = (
     ("lock_stack", corpus.lock_stack(), GAMMA, corpus.LOCK_STACK_INITIAL),
     ("plain_stack", corpus.plain_stack(), GAMMA, corpus.PLAIN_INITIAL),
@@ -61,6 +79,7 @@ LIBRARIES = (
     ("mini_stack_slow", corpus.mini_stack_slow(), GAMMA, corpus.MINI_INITIAL),
     ("mini_stack_scribbler", corpus.mini_stack_scribbler(), GAMMA_OBJ, corpus.MINI_INITIAL),
     ("trivial_library", corpus.trivial_library(), corpus.gamma_trivial(), frozenset({ram({})})),
+    ("read_write_pi", READ_WRITE_PI, GAMMA_READ_WRITE_PI, frozenset({ram_pi({2: (0, 1)})})),
 )
 
 _EMPTY = ParamPredicate.from_fn(lambda t: [ram({})], (1, 2))
@@ -172,6 +191,41 @@ def test_visited_set_keeps_states_apart():
     want = _per_trace_pairs(LibraryLocal(gamma), library_trace_set(race, bounds), initial)
     got = {(e.initial, e.history) for e in interf(race, gamma, initial, bounds).entries}
     assert got == want
+
+
+def test_visited_set_keeps_permission_states_apart():
+    # the race above under fractional permissions: each call also brings
+    # half of cell 6, the two threads' halves add up to the full permission,
+    # and each return gives its half back
+    race = library({"m": seq(Prim(store(5, TID)), Prim(store(TID, Deref(IntLit(5)))))})
+    gamma = method_spec({"m": (
+        ParamPredicate.from_fn(lambda t: [ram_pi({t: (0, 1), 6: (0, HALF)})], (1, 2)),
+        ParamPredicate.from_fn(lambda t: [ram_pi({t: (v, 1), 6: (0, HALF)}) for v in (1, 2)],
+                               (1, 2)))})
+    initial = [ram_pi({5: (0, 1)})]
+    bounds = Bounds(1, 1, 2, 8)
+    want = _per_trace_pairs(LibraryLocal(gamma), library_trace_set(race, bounds), initial)
+    got = {(e.initial, e.history) for e in interf(race, gamma, initial, bounds).entries}
+    assert got == want
+    assert any(len(h) == 4 for _, h in got)
+
+
+def test_seen_set_keeps_annotated_histories_apart():
+    # the call brings in cell t holding 0 or 1 and the method overwrites it:
+    # both paths reach the same trie nodes and the same state, with histories
+    # that differ only in the piece the call transferred
+    lib = library({"m": Prim(store(TID, 7))})
+    gamma = method_spec({"m": (
+        ParamPredicate.from_fn(lambda t: [ram({t: 0}), ram({t: 1})], (1, 2)),
+        ParamPredicate.from_fn(lambda t: [ram({t: 7})], (1, 2)))})
+    initial = [ram({})]
+    bounds = Bounds(1, 1, 2, 8)
+    want = _per_trace_pairs(LibraryLocal(gamma), library_trace_set(lib, bounds), initial)
+    got = {(e.initial, e.history) for e in interf(lib, gamma, initial, bounds).entries}
+    assert got == want
+    # one thread's call and return, for each piece the call can bring in
+    completed = {h[0].transferred for _, h in got if len(h) == 2 and h[0].thread == h[1].thread}
+    assert completed == {ram({1: 0}), ram({1: 1}), ram({2: 0}), ram({2: 1})}
 
 
 @pytest.mark.parametrize("name,lib,gamma,initial", FAULTING, ids=_ids(FAULTING))

@@ -19,7 +19,7 @@ from ownlin import (
     star,
 )
 from ownlin.algebra import State
-from ownlin.footprint import Full
+from ownlin.footprint import Footprint, Full
 
 HALF = Fraction(1, 2)
 UNIVERSE = StateUniverse()
@@ -125,3 +125,26 @@ def test_footprint_validation():
         ram_pi_foot({1: (Fraction(1), 0)})  # full permission must use the marker
     with pytest.raises(ValueError):
         ram_foot([0])
+
+
+def _assert_rebuilds(r):
+    # a footprint built without the checks equals the one the validating
+    # constructor builds from its entries, hash included
+    again = Footprint(r.algebra, r.entries)
+    assert r == again and hash(r) == hash(again)
+
+
+@pytest.mark.parametrize("algebra", list(Algebra), ids=lambda a: a.value)
+def test_trusted_footprints_equal_validated_footprints(algebra):
+    states = UNIVERSE.states(algebra)
+    for s in states:
+        _assert_rebuilds(delta(s))
+    foots = sorted({delta(s) for s in states}, key=Footprint.sort_key)
+    defined = {"foot_add": 0, "foot_sub": 0}
+    for l1 in foots:
+        for l2 in foots:
+            for name, r in (("foot_add", foot_add(l1, l2)), ("foot_sub", foot_sub(l1, l2))):
+                if r is not None:
+                    _assert_rebuilds(r)
+                    defined[name] += 1
+    assert all(defined.values()), defined

@@ -62,6 +62,13 @@ def test_prim_step_store():
         frozenset({ram_pi({1: (7, 1)})})
 
 
+@pytest.mark.parametrize("value", (1.5, True, "1"), ids=repr)
+def test_integer_literal_rejects_other_values(value):
+    # a store puts the value it computes into a state without checking it
+    with pytest.raises(TypeError):
+        IntLit(value)
+
+
 def test_prim_step_assume():
     assert prim_step(assume(Deref(IntLit(1))), 1, ram({1: 0})) == frozenset()
     assert prim_step(assume(Deref(IntLit(1))), 1, ram({1: 2})) == \
