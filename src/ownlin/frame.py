@@ -10,7 +10,7 @@ extended one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
 from .checker import Status
@@ -18,8 +18,9 @@ from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
     UnsafeComponentError,
+    _histories_by_state,
+    _interface_set_of,
     history_of,
-    interf,
     trace_sort_key,
     walk_library,
 )
@@ -182,20 +183,32 @@ def check_framed_state_preserved(lib: Library, gamma: MethodSpec, gamma_ext: Met
                                  bounds: Bounds) -> Optional[Hypothesis4Witness]:
     """Find a library behaviour under the extended contract whose extra-state
     fold faults, or ``None`` when the framed-out state is always preserved."""
+    def histories_at(combined: State) -> set[History]:
+        fault, histories = walk_library(lib, gamma_ext, combined, bounds, histories_only=True)
+        if fault is not None:
+            raise UnsafeComponentError(
+                f"library faults under the extended contract at {combined!r}", fault)
+        return histories
+
+    return _preservation_witness(lib, gamma, gamma_ext, initial_base, initial_extra, bounds,
+                                 histories_at)
+
+
+def _preservation_witness(lib: Library, gamma: MethodSpec, gamma_ext: MethodSpec,
+                          initial_base: Iterable[State], initial_extra: Iterable[State],
+                          bounds: Bounds, histories_at: Callable[[State], set[History]]
+                          ) -> Optional[Hypothesis4Witness]:
+    """``check_framed_state_preserved`` over the histories that
+    ``histories_at`` gives for each combined initial state."""
     for sigma0 in sorted(initial_base, key=State.sort_key):
         for sigma_extra in sorted(initial_extra, key=State.sort_key):
             combined = star(sigma0, sigma_extra)
             if combined is None:
                 continue
-            fault, histories = walk_library(lib, gamma_ext, combined, bounds,
-                                            histories_only=True)
-            if fault is not None:
-                raise UnsafeComponentError(
-                    f"library faults under the extended contract at {combined!r}", fault)
             # the fold reads only the history, and a history fails from its
             # first failing action on; the trace set is prefix-closed, so the
             # least failing trace ends at that action and its history is a cut
-            cuts = {cut for h in histories
+            cuts = {cut for h in histories_at(combined)
                     if (cut := _failing_cut(h, gamma, sigma_extra)) is not None}
             if cuts:
                 _, traces = walk_library(lib, gamma_ext, combined, bounds, cuts=cuts)
@@ -226,7 +239,7 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     ext_ok = extends(gamma_ext, gamma, universe)
 
     safety = []
-    interfs: dict[str, object] = {}
+    histories: dict[str, Optional[dict[State, set[History]]]] = {}
     checks = [
         ("lib1:base", lib1, gamma, initial1),
         ("lib2:base", lib2, gamma, initial2),
@@ -235,17 +248,21 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     ]
     for label, lib, g, states in checks:
         try:
-            interfs[label] = interf(lib, g, states, bounds)
+            histories[label] = _histories_by_state(lib, g, states, bounds)
             safety.append((label, True))
         except UnsafeComponentError:
-            interfs[label] = None
+            histories[label] = None
             safety.append((label, False))
+    interfs = {label: None if hs is None else _interface_set_of(hs)
+               for label, hs in histories.items()}
 
     hyp4_witness = None
     hyp4_ok = False
     if safety[2][1]:
-        hyp4_witness = check_framed_state_preserved(
-            lib1, gamma, gamma_ext, initial1, initial_extra, bounds)
+        # the preservation fold reads the histories of lib1's extended walk
+        hyp4_witness = _preservation_witness(
+            lib1, gamma, gamma_ext, initial1, initial_extra, bounds,
+            histories["lib1:extended"].__getitem__)
         hyp4_ok = hyp4_witness is None
 
     base_lin = None

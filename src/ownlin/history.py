@@ -17,10 +17,15 @@ from .algebra import State
 from .footprint import Footprint, delta, foot_add, foot_leq, foot_sub
 
 
-# str mixin: a member hashes in C; spell it by ``.value``, as formatting differs by version
+# str mixin: a member hashes in C; spell it by ``.value`` (or ``_KIND_NAME`` on hot
+# paths), as formatting differs by version
 class Kind(str, Enum):
     CALL = "call"
     RET = "ret"
+
+
+# each kind's spelling as a plain ``str``, read without the enum's ``value`` descriptor
+_KIND_NAME = {Kind.CALL: "call", Kind.RET: "ret"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,10 +36,10 @@ class InterfaceAction:
     transferred: State
 
     def sort_key(self):
-        return (self.thread, self.kind.value, self.method, self.transferred.sort_key())
+        return (self.thread, _KIND_NAME[self.kind], self.method, self.transferred.sort_key())
 
     def __repr__(self):
-        return f"({self.thread},{self.kind.value} {self.method}({self.transferred!r}))"
+        return f"({self.thread},{_KIND_NAME[self.kind]} {self.method}({self.transferred!r}))"
 
 
 def call(thread: int, method: str, transferred: State) -> InterfaceAction:

@@ -153,9 +153,16 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
     annotated action, so no step hashes a whole history.  ``cuts``, a set
     of histories none of which is a prefix of another, keeps the walk to
     paths whose history is a prefix of a cut, and returns only the traces
-    whose history is a cut, without walking past them."""
+    whose history is a cut, without walking past them.
+
+    Every trie node has exactly one parent edge, so a node fixes the action
+    that leads to it, and ``eval_action`` depends only on that action and
+    the state: the walk evaluates each (node, state) once and looks up the
+    result when it meets the pair again with the other threads elsewhere."""
     collected: set[Trace] = set()
     seen: set | None = set() if histories_only else None
+    # (trie node, state) -> eval_action of the node's edge from the state
+    memo: dict[tuple[_Trie, State], object] = {}
     # (id of a history, annotated action) -> id of the history it extends to
     ids: dict[tuple[int, InterfaceAction], int] = {}
     prefix: list = []
@@ -178,7 +185,9 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
             return None
         for i, node in enumerate(nodes):
             for action, child in node.children.items():
-                r = eval_action(mode, action, st)
+                r = memo.get((child, st))
+                if r is None:
+                    r = memo[child, st] = eval_action(mode, action, st)
                 if r is TOP:
                     return (*prefix, action)
                 prefix.append(action)
@@ -386,6 +395,28 @@ def _check_contract_covers(lib: Library, gamma: MethodSpec, bounds: Bounds) -> N
                     f"the contract of method {m!r} does not cover thread {t}") from None
 
 
+def _histories_by_state(lib: Library, gamma: MethodSpec, initial: Iterable[State],
+                        bounds: Bounds) -> dict[State, set[History]]:
+    """The histories of a library's local behaviours from each initial state,
+    in state order.  Refuses contracts that leave a method or a thread
+    uncovered and unsafe libraries."""
+    _check_contract_covers(lib, gamma, bounds)
+    out = {}
+    for sigma0 in sorted(initial, key=State.sort_key):
+        fault, histories = walk_library(lib, gamma, sigma0, bounds, histories_only=True)
+        if fault is not None:
+            raise UnsafeComponentError(f"library faults at {sigma0!r}", fault)
+        out[sigma0] = histories
+    return out
+
+
+def _interface_set_of(histories: dict[State, set[History]]) -> InterfaceSet:
+    """Each entry is checked balanced from the footprint of its initial state
+    when it is built."""
+    return interface_set(BalancedHistory(delta(sigma0), h)
+                         for sigma0, hs in histories.items() for h in hs)
+
+
 def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
            bounds: Bounds) -> InterfaceSet:
     """The (initial footprint, history) pairs of a library's local behaviours.
@@ -394,15 +425,7 @@ def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
     libraries; each entry is checked balanced from the footprint of its
     initial state when it is built.
     """
-    _check_contract_covers(lib, gamma, bounds)
-    entries = []
-    for sigma0 in sorted(initial, key=State.sort_key):
-        fault, histories = walk_library(lib, gamma, sigma0, bounds, histories_only=True)
-        if fault is not None:
-            raise UnsafeComponentError(f"library faults at {sigma0!r}", fault)
-        l0 = delta(sigma0)
-        entries.extend(BalancedHistory(l0, h) for h in histories)
-    return interface_set(entries)
+    return _interface_set_of(_histories_by_state(lib, gamma, initial, bounds))
 
 
 def _prefix_in_trie(trie: _Trie, tau: Trace) -> bool:

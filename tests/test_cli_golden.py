@@ -2,7 +2,8 @@
 
 Each command runs on the corpus files of ``test_serialize_cli``; the SHA-256
 of its stdout and its exit code must equal the recorded constants, in this
-process and in a fresh interpreter under another hash seed.
+process and in fresh interpreters under another hash seed, with and without
+``-O``.
 """
 
 import contextlib
@@ -66,8 +67,9 @@ def test_cli_output_is_pinned(corpus_files, tmp_path):
     assert {name: digest(argv) for name, argv in commands.items()} == GOLDEN
 
 
-def test_cli_output_does_not_depend_on_the_hash_seed(corpus_files, tmp_path):
-    commands = _commands(corpus_files, tmp_path)
+def _fresh_digests(commands: dict[str, list[str]], *flags: str) -> dict:
+    """The digests of ``commands`` in a fresh interpreter started with ``flags``,
+    under hash seed 7."""
     here = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONHASHSEED="7",
                PYTHONPATH=os.pathsep.join([os.path.join(here, "..", "src"), here]))
@@ -75,7 +77,16 @@ def test_cli_output_does_not_depend_on_the_hash_seed(corpus_files, tmp_path):
               "from test_cli_golden import digest\n"
               "commands = json.loads(sys.argv[1])\n"
               "print(json.dumps({n: digest(a) for n, a in commands.items()}))\n")
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, *flags, "-c", script, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(corpus_files, tmp_path):
+    assert _fresh_digests(_commands(corpus_files, tmp_path)) == GOLDEN
+
+
+def test_cli_output_does_not_depend_on_asserts(corpus_files, tmp_path):
+    # ``-O`` strips ``assert``: every check the program makes must be a real error
+    assert _fresh_digests(_commands(corpus_files, tmp_path), "-O") == GOLDEN

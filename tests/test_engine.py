@@ -6,11 +6,12 @@ the annotated traces of the trie rebuilt from the matching trace set and
 evaluated node by node, the construction the engine replaces.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
 
-from ownlin import corpus, ram, ram_pi, star
+from ownlin import corpus, ram, ram_pi, semantics, star
 from ownlin.algebra import ParamPredicate
 from ownlin.footprint import delta
 from ownlin.history import InterfaceAction
@@ -38,6 +39,7 @@ from ownlin.semantics import (
     UnsafeComponentError,
     _client_thread_tries,
     _library_thread_tries,
+    _walk,
     clear_caches,
     denote_client,
     denote_complete,
@@ -278,3 +280,53 @@ def test_clear_caches_empties_the_bounded_caches():
     assert all(f.cache_info().currsize > 0 for f in cached)
     clear_caches()
     assert all(f.cache_info().currsize == 0 for f in cached)
+
+
+def _fresh_edges(trie):
+    """A copy of ``trie`` whose every edge carries an action object of its
+    own, so the identity of an action names the node below it."""
+    out = _Trie()
+    for action, child in trie.children.items():
+        out.children[copy.copy(action)] = _fresh_edges(child)
+    return out
+
+
+def _count_evaluations(monkeypatch):
+    """Record (action identity, state) for every ``eval_action`` call."""
+    calls = []
+
+    def counted(mode, action, st):
+        calls.append((id(action), st))
+        return eval_action(mode, action, st)
+
+    monkeypatch.setattr(semantics, "eval_action", counted)
+    return calls
+
+
+@pytest.mark.parametrize("histories_only", (True, False), ids=("histories", "traces"))
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES + FAULTING,
+                         ids=_ids(LIBRARIES) + [f"faulting-{n}" for n in _ids(FAULTING)])
+def test_walk_evaluates_each_node_and_state_once(name, lib, gamma, initial, histories_only,
+                                                 monkeypatch):
+    bounds = Bounds(1, 2, 2, 7)
+    tries = tuple(_fresh_edges(t) for t in _library_thread_tries(lib, bounds))
+    want = {sigma: walk_library(lib, gamma, sigma, bounds, histories_only=histories_only)
+            for sigma in initial}
+    calls = _count_evaluations(monkeypatch)
+    for sigma in initial:
+        calls.clear()
+        got = _walk(LibraryLocal(gamma), tries, sigma, bounds.max_trace_len, histories_only)
+        assert got == want[sigma]
+        assert calls
+        assert len(calls) == len(set(calls))
+
+
+def test_memo_cuts_evaluations_of_the_lock_stack_check(monkeypatch):
+    # check_lin_code's two walks, lock stack against plain stack: evaluating
+    # every edge at each visit of a product node took 3,210 calls here
+    bounds = Bounds(1, 2, 2, 8)
+    calls = _count_evaluations(monkeypatch)
+    interf(corpus.lock_stack(), GAMMA, corpus.LOCK_STACK_INITIAL, bounds)
+    assert len(calls) == 386
+    interf(corpus.plain_stack(), GAMMA, corpus.PLAIN_INITIAL, bounds)
+    assert len(calls) == 968

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from helpers import framed_witness_oracle
-from ownlin import corpus, ram, star
+from ownlin import corpus, frame, ram, semantics, star
+from ownlin.algebra import star_set
 from ownlin.frame import (
     Hypothesis4Witness,
     SpecExtension,
@@ -24,6 +26,7 @@ from ownlin.semantics import (
     denote_library,
     history_of,
     library_trace_member,
+    walk_library,
 )
 
 GAMMA = corpus.gamma_val()
@@ -195,3 +198,36 @@ def test_framed_witness_ends_at_its_failing_action(preservation_outcomes):
     for w in witnesses:
         assert isinstance(w.trace[-1], InterfaceAction)
         assert w.failing_index == len(w.failing_prefix) - 1
+
+
+def test_frame_check_walks_the_extended_library_once(preservation_outcomes, monkeypatch):
+    walks = []
+
+    def counted(lib, gamma, sigma, bounds, **kwargs):
+        if kwargs.get("histories_only"):
+            walks.append((lib, gamma, sigma))
+        return walk_library(lib, gamma, sigma, bounds, **kwargs)
+
+    monkeypatch.setattr(semantics, "walk_library", counted)
+    monkeypatch.setattr(frame, "walk_library", counted)
+    extended = star_set(corpus.MINI_INITIAL, corpus.EXTRA_INITIAL_EMPTY)
+    safe = 0
+    for ((name, lib), (order, g, gx), b), (alone, oracle) in zip(_PRESERVATION_CASES,
+                                                                 preservation_outcomes):
+        walks.clear()
+        # a fresh spec library, so that lib1's walks are told apart by identity
+        lib2 = corpus.mini_stack()
+        try:
+            report = frame_check(lib, lib2, g, gx, corpus.MINI_INITIAL, corpus.MINI_INITIAL,
+                                 corpus.EXTRA_INITIAL_EMPTY, b, UNIVERSE)
+        except SplitViolation as e:
+            assert alone == oracle == (SplitViolation, str(e), None, e.action), (name, order, b)
+            continue
+        if not dict(report.safety)["lib1:extended"]:
+            assert alone[0] is UnsafeComponentError and report.hypothesis4_witness is None
+            continue
+        safe += 1
+        assert report.hypothesis4_witness == alone == oracle, (name, order, b)
+        lib1_extended = Counter(sigma for l, g2, sigma in walks if l is lib and g2 is gx)
+        assert lib1_extended == Counter(extended), (name, order, b)
+    assert safe

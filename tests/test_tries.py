@@ -49,6 +49,10 @@ LIBRARIES = (
     ("shared_prefix", library({"m": Choice(seq(Prim(SKIP), Prim(store(4, 1))),
                                            seq(Prim(SKIP), Prim(store(4, 2)))),
                                "n": Prim(SKIP)})),
+    # equal branches join in one node, unequal ones in two, before the same
+    # continuation
+    ("joining_choice", library({"m": seq(Choice(Prim(SKIP), Prim(SKIP)), Prim(store(4, 1))),
+                                "n": seq(Choice(Prim(SKIP), Prim(store(4, 2))), Prim(SKIP))})),
 )
 
 # (name, client, library its calls run in the complete program)
@@ -95,6 +99,30 @@ def test_client_and_complete_tries_match_the_reference(name, client, lib, bounds
            client_trace_set(client, bounds), bounds)
     _check(_client_tries(client, lib, bounds), reference_client_threads(client, lib, bounds),
            complete_trace_set(lib, client, bounds), bounds)
+
+
+def _reached_more_than_once(roots):
+    """The nodes reached from ``roots`` along more than one edge or root."""
+    reached: dict[int, int] = {}
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        reached[id(node)] = reached.get(id(node), 0) + 1
+        if reached[id(node)] == 1:
+            stack.extend(node.children.values())
+    return [n for n, count in reached.items() if count > 1]
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+def test_every_trie_node_has_one_parent_edge(bounds):
+    # the product walk keys its memo by (node, state) for the action on the
+    # node's one parent edge
+    for _, lib in LIBRARIES:
+        assert not _reached_more_than_once(_library_tries(lib, bounds))
+        assert not _reached_more_than_once([_Trie.of(library_trace_set(lib, bounds))])
+    for _, client, lib in CLIENTS:
+        assert not _reached_more_than_once(_client_tries(client, None, bounds))
+        assert not _reached_more_than_once(_client_tries(client, lib, bounds))
 
 
 _FAULT_TRACES = """
