@@ -17,8 +17,10 @@ from .checker import Status
 from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
+    HistoryTrie,
     UnsafeComponentError,
     _histories_by_state,
+    _history_trie,
     _interface_set_of,
     history_of,
     trace_sort_key,
@@ -125,20 +127,6 @@ def _extra_step(cur: State, a: InterfaceAction) -> Optional[State]:
     return state_sub(cur, a.transferred)
 
 
-def _failing_cut(h: History, gamma: MethodSpec, sigma_extra: State) -> Optional[History]:
-    """``h`` up to and including its first action that does not split against
-    ``gamma`` or whose extra piece does not fold, or ``None`` if none fails."""
-    cur = sigma_extra
-    for i, a in enumerate(h):
-        try:
-            cur = _extra_step(cur, ceil_action(a, gamma))
-        except SplitViolation:
-            cur = None
-        if cur is None:
-            return h[:i + 1]
-    return None
-
-
 @dataclass(frozen=True)
 class Hypothesis4Witness:
     initial_base: State
@@ -183,33 +171,35 @@ def check_framed_state_preserved(lib: Library, gamma: MethodSpec, gamma_ext: Met
                                  bounds: Bounds) -> Optional[Hypothesis4Witness]:
     """Find a library behaviour under the extended contract whose extra-state
     fold faults, or ``None`` when the framed-out state is always preserved."""
-    def histories_at(combined: State) -> set[History]:
-        fault, histories = walk_library(lib, gamma_ext, combined, bounds, histories_only=True)
-        if fault is not None:
-            raise UnsafeComponentError(
-                f"library faults under the extended contract at {combined!r}", fault)
-        return histories
-
     return _preservation_witness(lib, gamma, gamma_ext, initial_base, initial_extra, bounds,
-                                 histories_at)
+                                 lambda c: _history_trie(lib, gamma_ext, c, bounds,
+                                                         " under the extended contract"))
 
 
 def _preservation_witness(lib: Library, gamma: MethodSpec, gamma_ext: MethodSpec,
                           initial_base: Iterable[State], initial_extra: Iterable[State],
-                          bounds: Bounds, histories_at: Callable[[State], set[History]]
+                          bounds: Bounds, trie_at: Callable[[State], HistoryTrie]
                           ) -> Optional[Hypothesis4Witness]:
-    """``check_framed_state_preserved`` over the histories that
-    ``histories_at`` gives for each combined initial state."""
+    """``check_framed_state_preserved`` over the history trie that
+    ``trie_at`` gives for each combined initial state."""
     for sigma0 in sorted(initial_base, key=State.sort_key):
         for sigma_extra in sorted(initial_extra, key=State.sort_key):
             combined = star(sigma0, sigma_extra)
             if combined is None:
                 continue
-            # the fold reads only the history, and a history fails from its
-            # first failing action on; the trace set is prefix-closed, so the
-            # least failing trace ends at that action and its history is a cut
-            cuts = {cut for h in histories_at(combined)
-                    if (cut := _failing_cut(h, gamma, sigma_extra)) is not None}
+            # a history's fold is its parent's plus one action; one failing where its
+            # parent did not is a cut; traces are prefix-closed, so the least fails at one
+            extras, cuts = [sigma_extra], set()
+            for h, parent in trie_at(combined)[1:]:
+                cur = extras[parent]
+                if cur is not None:
+                    try:
+                        cur = _extra_step(cur, ceil_action(h[-1], gamma))
+                    except SplitViolation:
+                        cur = None
+                    if cur is None:
+                        cuts.add(h)
+                extras.append(cur)
             if cuts:
                 _, traces = walk_library(lib, gamma_ext, combined, bounds, cuts=cuts)
                 tau = min(traces, key=trace_sort_key)
@@ -239,7 +229,7 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     ext_ok = extends(gamma_ext, gamma, universe)
 
     safety = []
-    histories: dict[str, Optional[dict[State, set[History]]]] = {}
+    histories: dict[str, Optional[dict[State, HistoryTrie]]] = {}
     checks = [
         ("lib1:base", lib1, gamma, initial1),
         ("lib2:base", lib2, gamma, initial2),
@@ -259,7 +249,7 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     hyp4_witness = None
     hyp4_ok = False
     if safety[2][1]:
-        # the preservation fold reads the histories of lib1's extended walk
+        # the preservation fold reads the history tries of lib1's extended walk
         hyp4_witness = _preservation_witness(
             lib1, gamma, gamma_ext, initial1, initial_extra, bounds,
             histories["lib1:extended"].__getitem__)

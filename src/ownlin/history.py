@@ -172,14 +172,34 @@ class BalancedHistory:
     history: History
 
     def __post_init__(self):
-        if not check_well_formed(self.history):
-            raise ValueError(f"ill-formed history: {self.history!r}")
-        if not is_balanced(self.history, self.initial):
-            raise ValueError(
-                f"history not balanced from {self.initial!r}: {self.history!r}")
+        _require_entry(self.initial, self.history, is_balanced(self.history, self.initial))
+
+    @classmethod
+    def _trusted(cls, initial: Footprint, history: History) -> "BalancedHistory":
+        """An entry whose checks ``balance_step`` made, step by step."""
+        b = object.__new__(cls)
+        object.__setattr__(b, "initial", initial)
+        object.__setattr__(b, "history", history)
+        return b
 
     def sort_key(self):
         return (self.initial.sort_key(), tuple(a.sort_key() for a in self.history))
+
+
+def _require_entry(initial: Footprint, h: History, balanced: bool) -> None:
+    """Raise unless ``h`` is well-formed and, that given, ``balanced`` from ``initial``."""
+    if not check_well_formed(h):
+        raise ValueError(f"ill-formed history: {h!r}")
+    if not balanced:
+        raise ValueError(f"history not balanced from {initial!r}: {h!r}")
+
+
+def balance_step(initial: Footprint, h: History, before: Footprint) -> Footprint:
+    """``before``, the fold of ``h[:-1]`` from ``initial``, folded over ``h[-1]``;
+    raises what ``BalancedHistory(initial, h)`` would."""
+    after = evaluate_footprint(h[-1:], before)
+    _require_entry(initial, h, after is not None)
+    return after
 
 
 def balanced_linearized_by(b1: BalancedHistory, b2: BalancedHistory) -> bool:

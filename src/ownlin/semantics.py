@@ -27,6 +27,7 @@ from .history import (
     InterfaceAction,
     InterfaceSet,
     Kind,
+    balance_step,
     interface_set,
 )
 from .lang import (
@@ -140,35 +141,43 @@ class Denotation:
     traces: frozenset[Trace]
 
 
+# node ``i`` is (its history, its parent's index); node 0 is the empty history
+HistoryTrie = list[tuple[History, int]]
+
+
 def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
-          histories_only: bool = False,
-          cuts: Collection[History] | None = None) -> tuple[Trace | None, set[Trace]]:
+          histories_only: bool = False, cuts: Collection[History] | None = None
+          ) -> tuple[Trace | None, set[Trace] | HistoryTrie]:
     """Walk the product of per-thread tries from ``sigma``, depth first, up to
     ``cap`` actions.  Returns the ground prefix that faulted, or ``None`` and
     every annotated trace reached; each path spells one ground trace, which
-    with its annotation fixes the state.  ``histories_only`` keeps interface
-    actions only and skips a (trie nodes, state, history) already walked: the
-    nodes fix the depth, so the cap cuts the same behaviours.  It keys each
-    history by an integer, hash-consed from its parent's id and its last
-    annotated action, so no step hashes a whole history.  ``cuts``, a set
-    of histories none of which is a prefix of another, keeps the walk to
-    paths whose history is a prefix of a cut, and returns only the traces
-    whose history is a cut, without walking past them.
+    with its annotation fixes the state.  ``cuts``, a set of histories none
+    of which is a prefix of another, keeps the walk to paths whose history is
+    a prefix of a cut, and returns only the traces whose history is a cut,
+    without walking past them.  ``histories_only``, which takes no cuts,
+    returns instead the trie of the histories reached, parents first, and
+    skips a (trie nodes, state, history) already walked: the nodes fix the
+    depth, so the cap cuts the same behaviours.  A history is hash-consed to
+    its index by its parent's index and its last action, and its tuple built
+    once, from its parent's.
 
     Every trie node has exactly one parent edge, so a node fixes the action
     that leads to it, and ``eval_action`` depends only on that action and
     the state: the walk evaluates each (node, state) once and looks up the
     result when it meets the pair again with the other threads elsewhere."""
+    if histories_only and cuts is not None:
+        raise ValueError("a histories-only walk takes no cuts")
     collected: set[Trace] = set()
     seen: set | None = set() if histories_only else None
+    trie: HistoryTrie = [((), -1)]
     # (trie node, state) -> eval_action of the node's edge from the state
     memo: dict[tuple[_Trie, State], object] = {}
-    # (id of a history, annotated action) -> id of the history it extends to
+    # (index of a history, annotated action) -> index of the history it extends to
     ids: dict[tuple[int, InterfaceAction], int] = {}
     prefix: list = []
 
-    # ``hid``: the id of ``acc`` when ``histories_only``; ``cut_node``: where
-    # the history so far sits in the trie of the cuts
+    # ``acc``: the annotated trace, or ``hid``, its history's index, when
+    # ``histories_only``; ``cut_node``: where its history sits in the cuts' trie
     def walk(nodes: tuple[_Trie, ...], depth: int, st: State, acc: Trace, hid: int,
              cut_node: _Trie | None) -> Trace | None:
         if seen is not None:
@@ -176,7 +185,7 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
             seen.add((nodes, st, hid))
             if len(seen) == n:
                 return None
-        if cut_node is None:
+        elif cut_node is None:
             collected.add(acc)
         elif not cut_node.children:
             collected.add(acc)
@@ -193,17 +202,18 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
                 prefix.append(action)
                 succ = nodes[:i] + (child,) + nodes[i + 1:]
                 for st2, a2 in r:
-                    interface = isinstance(a2, InterfaceAction)
-                    child_cut = cut_node
-                    if cut_node is not None and interface:
-                        child_cut = cut_node.children.get(a2)
-                        if child_cut is None:
-                            continue
-                    nid = hid
-                    if interface and histories_only:
-                        nid = ids.setdefault((hid, a2), len(ids) + 1)
-                    keep = interface or not histories_only
-                    fault = walk(succ, depth + 1, st2, acc + (a2,) if keep else acc, nid, child_cut)
+                    child_cut, nid = cut_node, hid
+                    if isinstance(a2, InterfaceAction):
+                        if cut_node is not None:
+                            child_cut = cut_node.children.get(a2)
+                            if child_cut is None:
+                                continue
+                        if histories_only:
+                            nid = ids.setdefault((hid, a2), len(trie))
+                            if nid == len(trie):
+                                trie.append((trie[hid][0] + (a2,), hid))
+                    fault = walk(succ, depth + 1, st2, acc if histories_only else acc + (a2,),
+                                 nid, child_cut)
                     if fault is not None:
                         return fault
                 prefix.pop()
@@ -211,7 +221,8 @@ def _walk(mode: Mode, tries: tuple[_Trie, ...], sigma: State, cap: int,
 
     if cuts is not None and not cuts:
         return None, collected
-    return walk(tries, 0, sigma, (), 0, None if cuts is None else _Trie.of(cuts)), collected
+    fault = walk(tries, 0, sigma, (), 0, None if cuts is None else _Trie.of(cuts))
+    return fault, trie if histories_only else collected
 
 
 def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) -> Denotation:
@@ -227,12 +238,21 @@ def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, 
     return _client_tries(client, None, bounds)
 
 
+def _history_trie(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds,
+                  under: str = "") -> HistoryTrie:
+    """The histories-only ``_walk`` of the library, which must not fault."""
+    fault, trie = _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+                        bounds.max_trace_len, histories_only=True)
+    if fault is not None:
+        raise UnsafeComponentError(f"library faults{under} at {sigma!r}", fault)
+    return trie
+
+
 def walk_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds, *,
-                 histories_only: bool = False, cuts: Collection[History] | None = None
-                 ) -> tuple[Trace | None, set[Trace]]:
+                 cuts: Collection[History] | None = None) -> tuple[Trace | None, set[Trace]]:
     """``_walk`` over the library's most-general-client tries under ``gamma``."""
     return _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
-                 bounds.max_trace_len, histories_only, cuts)
+                 bounds.max_trace_len, cuts=cuts)
 
 
 def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
@@ -396,25 +416,24 @@ def _check_contract_covers(lib: Library, gamma: MethodSpec, bounds: Bounds) -> N
 
 
 def _histories_by_state(lib: Library, gamma: MethodSpec, initial: Iterable[State],
-                        bounds: Bounds) -> dict[State, set[History]]:
-    """The histories of a library's local behaviours from each initial state,
-    in state order.  Refuses contracts that leave a method or a thread
-    uncovered and unsafe libraries."""
+                        bounds: Bounds) -> dict[State, HistoryTrie]:
+    """The history trie of a library's local behaviours from each initial
+    state, in state order, refusing what ``interf`` refuses."""
     _check_contract_covers(lib, gamma, bounds)
-    out = {}
-    for sigma0 in sorted(initial, key=State.sort_key):
-        fault, histories = walk_library(lib, gamma, sigma0, bounds, histories_only=True)
-        if fault is not None:
-            raise UnsafeComponentError(f"library faults at {sigma0!r}", fault)
-        out[sigma0] = histories
-    return out
+    return {sigma0: _history_trie(lib, gamma, sigma0, bounds)
+            for sigma0 in sorted(initial, key=State.sort_key)}
 
 
-def _interface_set_of(histories: dict[State, set[History]]) -> InterfaceSet:
-    """Each entry is checked balanced from the footprint of its initial state
-    when it is built."""
-    return interface_set(BalancedHistory(delta(sigma0), h)
-                         for sigma0, hs in histories.items() for h in hs)
+def _interface_set_of(tries: dict[State, HistoryTrie]) -> InterfaceSet:
+    """``interf``'s entries, each checked one step past its parent's."""
+    entries = []
+    for sigma0, trie in tries.items():
+        initial = delta(sigma0)
+        feet = [initial]
+        for h, parent in trie[1:]:
+            feet.append(balance_step(initial, h, feet[parent]))
+        entries += (BalancedHistory._trusted(initial, h) for h, _ in trie)
+    return interface_set(entries)
 
 
 def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
@@ -422,8 +441,8 @@ def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
     """The (initial footprint, history) pairs of a library's local behaviours.
 
     Refuses contracts that leave a method or a thread uncovered and unsafe
-    libraries; each entry is checked balanced from the footprint of its
-    initial state when it is built.
+    libraries; each entry is checked well-formed and balanced from the
+    footprint of its initial state, one action past its parent's entry.
     """
     return _interface_set_of(_histories_by_state(lib, gamma, initial, bounds))
 

@@ -22,7 +22,17 @@ from ownlin.frame import (
     extra_eval,
     extra_eval_explain,
 )
-from ownlin.history import InterfaceAction, Kind, LeqEntry, LeqReport, call, linearized_by, ret
+from ownlin.history import (
+    BalancedHistory,
+    InterfaceAction,
+    Kind,
+    LeqEntry,
+    LeqReport,
+    call,
+    interface_set,
+    linearized_by,
+    ret,
+)
 from ownlin.lang import (
     Assume,
     Bounds,
@@ -285,6 +295,18 @@ def framed_witness_oracle(lib, gamma, gamma_ext, initial_base, initial_extra, bo
                 _, index = extra_eval_explain(ceil, sigma_extra)
                 return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
     return None
+
+
+def interf_oracle(lib, gamma, initial, bounds):
+    """``interf`` from the histories of the full annotated walk, each
+    validated whole through the public ``BalancedHistory`` constructor."""
+    entries = []
+    for sigma0 in initial:
+        d = denote_library(lib, gamma, sigma0, bounds)
+        if d.faulted:
+            raise UnsafeComponentError(f"library faults at {sigma0!r}", d.fault_trace)
+        entries += (BalancedHistory(delta(sigma0), h) for h in {history_of(t) for t in d.traces})
+    return interface_set(entries)
 
 
 EMPTY = ram({})

@@ -11,10 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import interf_oracle
 from ownlin import corpus, ram, ram_pi, semantics, star
 from ownlin.algebra import ParamPredicate
 from ownlin.footprint import delta
-from ownlin.history import InterfaceAction
+from ownlin.history import BalancedHistory, InterfaceAction, call, interface_set, ret
 from ownlin.lang import (
     TID,
     TOP,
@@ -38,6 +39,8 @@ from ownlin.semantics import (
     LibraryLocal,
     UnsafeComponentError,
     _client_thread_tries,
+    _history_trie,
+    _interface_set_of,
     _library_thread_tries,
     _walk,
     clear_caches,
@@ -100,6 +103,10 @@ CLIENT_START = star(next(iter(corpus.CLIENT_INITIAL)), next(iter(corpus.MINI_INI
 
 def _ids(cases):
     return [c[0] for c in cases]
+
+
+ALL_LIBRARIES = LIBRARIES + FAULTING
+ALL_IDS = _ids(LIBRARIES) + [f"faulting-{n}" for n in _ids(FAULTING)]
 
 
 def _rebuilt_denotation(mode, traces, sigma):
@@ -245,11 +252,16 @@ def test_faulting_library_is_reported_by_both_paths(name, lib, gamma, initial):
         assert eval_trace(mode, fault, sigma).faulted
 
 
+def _history_walk(lib, gamma, sigma, bounds):
+    return _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+                 bounds.max_trace_len, histories_only=True)
+
+
 @pytest.mark.parametrize("name,lib,gamma,initial", FAULTING, ids=_ids(FAULTING))
 def test_deduplicating_walk_meets_the_full_walks_first_fault(name, lib, gamma, initial):
     bounds = Bounds(1, 2, 2, 8)
     (sigma,) = initial
-    fault, _ = walk_library(lib, gamma, sigma, bounds, histories_only=True)
+    fault, _ = _history_walk(lib, gamma, sigma, bounds)
     assert fault is not None
     assert fault == denote_library(lib, gamma, sigma, bounds).fault_trace
 
@@ -261,13 +273,22 @@ def test_walk_along_cuts_stops_at_them(name, lib, gamma, initial, length):
     # second one leaves paths the walk must not take
     bounds = Bounds(1, 1, 2, 7)
     for sigma in initial:
-        _, histories = walk_library(lib, gamma, sigma, bounds, histories_only=True)
+        histories = {h for h, _ in _history_trie(lib, gamma, sigma, bounds)}
         cuts = set(sorted((h for h in histories if len(h) == length), key=repr)[::2])
         _, got = walk_library(lib, gamma, sigma, bounds, cuts=cuts)
         want = {tau for tau in denote_library(lib, gamma, sigma, bounds).traces
                 if tau and isinstance(tau[-1], InterfaceAction) and history_of(tau) in cuts}
         assert got == want
         assert bool(got) == bool(cuts)
+
+
+def test_histories_walk_takes_no_cuts():
+    bounds = Bounds(1, 1, 2, 6)
+    tries = _library_thread_tries(corpus.mini_stack(), bounds)
+    sigma = next(iter(corpus.MINI_INITIAL))
+    for cuts in (set(), {()}):
+        with pytest.raises(ValueError, match="takes no cuts"):
+            _walk(LibraryLocal(GAMMA), tries, sigma, bounds.max_trace_len, True, cuts)
 
 
 def test_clear_caches_empties_the_bounded_caches():
@@ -304,18 +325,20 @@ def _count_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("histories_only", (True, False), ids=("histories", "traces"))
-@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES + FAULTING,
-                         ids=_ids(LIBRARIES) + [f"faulting-{n}" for n in _ids(FAULTING)])
+@pytest.mark.parametrize("name,lib,gamma,initial", ALL_LIBRARIES, ids=ALL_IDS)
 def test_walk_evaluates_each_node_and_state_once(name, lib, gamma, initial, histories_only,
                                                  monkeypatch):
+    # the walk of the shared tries is the one ``walk_library`` and ``interf`` make
     bounds = Bounds(1, 2, 2, 7)
-    tries = tuple(_fresh_edges(t) for t in _library_thread_tries(lib, bounds))
-    want = {sigma: walk_library(lib, gamma, sigma, bounds, histories_only=histories_only)
+    cached = _library_thread_tries(lib, bounds)
+    tries = tuple(_fresh_edges(t) for t in cached)
+    mode = LibraryLocal(gamma)
+    want = {sigma: _walk(mode, cached, sigma, bounds.max_trace_len, histories_only)
             for sigma in initial}
     calls = _count_evaluations(monkeypatch)
     for sigma in initial:
         calls.clear()
-        got = _walk(LibraryLocal(gamma), tries, sigma, bounds.max_trace_len, histories_only)
+        got = _walk(mode, tries, sigma, bounds.max_trace_len, histories_only)
         assert got == want[sigma]
         assert calls
         assert len(calls) == len(set(calls))
@@ -330,3 +353,82 @@ def test_memo_cuts_evaluations_of_the_lock_stack_check(monkeypatch):
     assert len(calls) == 386
     interf(corpus.plain_stack(), GAMMA, corpus.PLAIN_INITIAL, bounds)
     assert len(calls) == 968
+
+
+@pytest.mark.parametrize("name,lib,gamma,initial", ALL_LIBRARIES, ids=ALL_IDS)
+def test_history_trie_holds_each_history_once_below_its_parent(name, lib, gamma, initial):
+    bounds = Bounds(1, 2, 2, 8)
+    for sigma in initial:
+        fault, trie = _history_walk(lib, gamma, sigma, bounds)
+        full = denote_library(lib, gamma, sigma, bounds)
+        # the fault prefix is the full walk's first fault
+        assert fault == full.fault_trace
+        if fault is not None:
+            continue
+        histories = [h for h, _ in trie]
+        assert len(set(histories)) == len(trie)
+        assert trie[0] == ((), -1)
+        for i, (h, parent) in enumerate(trie[1:], 1):
+            assert 0 <= parent < i and trie[parent][0] == h[:-1]
+        # the histories of every annotated trace of the full walk, which the
+        # histories-only walk returned as a set before it returned a trie
+        assert set(histories) == {history_of(tau) for tau in full.traces}
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
+def test_interf_equals_whole_history_validation(name, lib, gamma, initial, bounds):
+    got = interf(lib, gamma, initial, bounds)
+    assert got == interf_oracle(lib, gamma, initial, bounds)
+    for e in got.entries:
+        validated = BalancedHistory(e.initial, e.history)
+        assert (e, hash(e), e.sort_key(), repr(e)) == (validated, hash(validated),
+                                                       validated.sort_key(), repr(validated))
+
+
+# explored work at Bounds(1, 2, 2, 8), as before the history trie: distinct
+# histories summed over the initial states, and interface-set entries
+EXPLORED = {"lock_stack": (51, 51), "plain_stack": (327, 327), "plain_queue": (327, 327),
+            "scribbler_stack": (43, 43), "mini_stack": (327, 327), "mini_stack_slow": (183, 183),
+            "mini_stack_scribbler": (111, 111), "trivial_library": (81, 81),
+            "read_write_pi": (933, 933)}
+
+
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
+def test_explored_work_is_pinned(name, lib, gamma, initial):
+    bounds = Bounds(1, 2, 2, 8)
+    histories = sum(len(_history_trie(lib, gamma, s, bounds)) for s in initial)
+    assert (histories, len(interf(lib, gamma, initial, bounds))) == EXPLORED[name]
+
+
+_C1, _C2 = call(1, "m", ram({})), call(2, "m", ram({}))
+_R1, _R2 = ret(1, "m", ram({})), ret(2, "m", ram({}))
+
+
+@pytest.mark.parametrize("sigma,h,error", [
+    (ram({}), (_C1, _C2, _R1, _R2), None),
+    (ram({}), (_C1, _C2, _R2, _C2, _R1), None),
+    # a return with no call, a call while the thread's is open behind another
+    # thread's action, a return of another method
+    (ram({}), (_R1,), "ill-formed history"),
+    (ram({}), (_C1, _C2, _C1), "ill-formed history"),
+    (ram({}), (_C1, _C2, ret(1, "n", ram({}))), "ill-formed history"),
+    # a return of a cell never brought in, a call bringing in a cell the
+    # library already owns
+    (ram({}), (_C1, ret(1, "m", ram({5: 0}))), "history not balanced"),
+    (ram({5: 0}), (_C1, _R1, call(2, "m", ram({5: 1}))), "history not balanced"),
+], ids=["ok", "ok-reopened", "ret-first", "call-twice", "other-method", "ret-unowned",
+        "call-owned"])
+def test_trie_entries_raise_what_the_constructor_raises(sigma, h, error):
+    # the trie of every prefix of ``h``; only the last edge can be wrong
+    trie = [(h[:i], i - 1) for i in range(len(h) + 1)]
+    if error is None:
+        want = interface_set(BalancedHistory(delta(sigma), p) for p, _ in trie)
+        assert _interface_set_of({sigma: trie}) == want
+        return
+    with pytest.raises(ValueError) as constructed:
+        BalancedHistory(delta(sigma), h)
+    assert str(constructed.value).startswith(error)
+    with pytest.raises(ValueError) as folded:
+        _interface_set_of({sigma: trie})
+    assert str(folded.value) == str(constructed.value)

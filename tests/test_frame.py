@@ -23,10 +23,10 @@ from ownlin.history import InterfaceAction, call, ret
 from ownlin.lang import TID, TOP, Bounds, Prim, library, store
 from ownlin.semantics import (
     UnsafeComponentError,
+    _history_trie,
     denote_library,
     history_of,
     library_trace_member,
-    walk_library,
 )
 
 GAMMA = corpus.gamma_val()
@@ -201,15 +201,15 @@ def test_framed_witness_ends_at_its_failing_action(preservation_outcomes):
 
 
 def test_frame_check_walks_the_extended_library_once(preservation_outcomes, monkeypatch):
+    # a library's histories-only walk goes through ``_history_trie``
     walks = []
 
-    def counted(lib, gamma, sigma, bounds, **kwargs):
-        if kwargs.get("histories_only"):
-            walks.append((lib, gamma, sigma))
-        return walk_library(lib, gamma, sigma, bounds, **kwargs)
+    def counted_trie(lib, gamma, sigma, bounds, *args):
+        walks.append((lib, gamma, sigma))
+        return _history_trie(lib, gamma, sigma, bounds, *args)
 
-    monkeypatch.setattr(semantics, "walk_library", counted)
-    monkeypatch.setattr(frame, "walk_library", counted)
+    for module in (semantics, frame):
+        monkeypatch.setattr(module, "_history_trie", counted_trie)
     extended = star_set(corpus.MINI_INITIAL, corpus.EXTRA_INITIAL_EMPTY)
     safe = 0
     for ((name, lib), (order, g, gx), b), (alone, oracle) in zip(_PRESERVATION_CASES,
