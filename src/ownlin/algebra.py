@@ -31,8 +31,6 @@ class Algebra(str, Enum):
 # RAM cell payload is the stored value; RAM_PI payload is (value, permission).
 Cell = Union[int, tuple[int, Fraction]]
 
-FULL = Fraction(1)
-
 
 def _as_perm(perm: object) -> Fraction:
     if isinstance(perm, Fraction):
@@ -331,29 +329,26 @@ class LawReport:
         if self.passed != (not self.counterexamples):
             raise ValueError("passed flag inconsistent with counterexample list")
 
-    @staticmethod
-    def from_counterexamples(ces: Iterable[CounterExample]) -> "LawReport":
-        ces = tuple(ces)
-        return LawReport(not ces, ces)
+
+PER_LAW = 5  # counterexamples a report keeps per law
 
 
 class Recorder:
     """Collects counterexamples with a per-law cap so a single broken law
     cannot crowd the others out of the report."""
 
-    def __init__(self, per_law: int = 5):
-        self.per_law = per_law
+    def __init__(self):
         self._by_law: dict[str, int] = {}
         self._items: list[CounterExample] = []
 
     def record(self, law: str, inputs: tuple, expected: object, got: object) -> None:
         n = self._by_law.get(law, 0)
-        if n < self.per_law:
+        if n < PER_LAW:
             self._by_law[law] = n + 1
             self._items.append(CounterExample(law, inputs, expected, got))
 
     def report(self) -> LawReport:
-        return LawReport.from_counterexamples(self._items)
+        return LawReport(not self._items, tuple(self._items))
 
 
 StarFn = Callable[[State, State], Optional[State]]

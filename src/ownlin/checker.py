@@ -57,6 +57,14 @@ class Verdict:
                 "details": list(self.details)}
 
 
+def _nonempty(name: str, states: Iterable[State]) -> frozenset[State]:
+    """``states`` as a set; none would make every check pass vacuously."""
+    out = frozenset(states)
+    if not out:
+        raise ValueError(f"{name} holds no initial state, so every check would pass vacuously")
+    return out
+
+
 def _leq_lines(report: LeqReport) -> tuple[str, ...]:
     lines = []
     for entry in report.entries:
@@ -88,6 +96,7 @@ def check_lin_code(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
     """Decide whether one library is linearized by another, by comparing the
     interface sets their local semantics generate at the given bounds."""
     try:
+        initial1 = _nonempty("initial1", initial1)
         gamma.check_precise(universe)
         h1 = interf(lib1, gamma, initial1, bounds)
         h2 = interf(lib2, gamma, initial2, bounds)
@@ -101,6 +110,7 @@ def check_lin_interface_set(lib1: Library, gamma: MethodSpec, initial1: Iterable
                             universe: StateUniverse = StateUniverse()) -> Verdict:
     """Decide linearizability of a library against an explicit interface set."""
     try:
+        initial1 = _nonempty("initial1", initial1)
         gamma.check_precise(universe)
         h1 = interf(lib1, gamma, initial1, bounds)
     except (UnsafeComponentError, ValueError) as exc:
@@ -156,6 +166,10 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     ``assume_linearizable`` skips the linearizability hypothesis so a harness
     test can feed a known-bad pair and watch the containment check fire.
     """
+    try:
+        initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
+    except ValueError as exc:
+        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
     algebra = _algebra_of(initial1)
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
@@ -187,6 +201,10 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     """Replace a library by an interface set: every client-observable trace of
     the composition must be equivalent to a client-local trace whose history
     the set contains with a compatible initial footprint."""
+    try:
+        initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
+    except ValueError as exc:
+        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
     algebra = _algebra_of(initial1)
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:

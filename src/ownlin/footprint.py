@@ -89,9 +89,6 @@ class Footprint:
     def __hash__(self):
         return self._hash
 
-    def is_empty(self) -> bool:
-        return not self.entries
-
     def sort_key(self):
         if self.algebra is Algebra.RAM:
             return (len(self.entries), self.entries)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
-from .checker import Status
+from .checker import Status, _nonempty
 from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
@@ -42,21 +42,6 @@ def extends(extended: MethodSpec, base: MethodSpec, universe: StateUniverse) -> 
                                for piece in base_pred.states):
                         return False
     return True
-
-
-@dataclass(frozen=True)
-class SpecExtension:
-    base: MethodSpec
-    extended: MethodSpec
-
-    @staticmethod
-    def checked(base: MethodSpec, extended: MethodSpec,
-                universe: StateUniverse) -> "SpecExtension":
-        base.check_precise(universe)
-        extended.check_precise(universe)
-        if not extends(extended, base, universe):
-            raise ValueError("the extended contract does not extend the base one")
-        return SpecExtension(base, extended)
 
 
 class SplitViolation(ValueError):
@@ -219,11 +204,12 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     then cross-check the conclusion by brute force at the same bounds.
 
     All hypotheses are bounded checks; a passing verdict reads
-    "holds-at-bounds", never an unconditional claim.
+    "holds-at-bounds", never an unconditional claim.  An imprecise contract
+    and an empty ``initial1`` or ``initial_extra`` raise ``ValueError``.
     """
-    initial1 = frozenset(initial1)
+    initial1 = _nonempty("initial1", initial1)
     initial2 = frozenset(initial2)
-    initial_extra = frozenset(initial_extra)
+    initial_extra = _nonempty("initial_extra", initial_extra)
     gamma.check_precise(universe)
     gamma_ext.check_precise(universe)
     ext_ok = extends(gamma_ext, gamma, universe)

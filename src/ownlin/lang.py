@@ -3,9 +3,10 @@
 Commands are primitive commands, method calls, sequencing, nondeterministic
 choice and finite iteration.  Conditionals and while loops are sugar over
 ``assume``.  Each thread's bounded traces grow straight from its command tree
-into a prefix trie; the semantics module walks the product of those tries
-against states and ownership transfers.  The trace sets, the interleaved
-prefixes of the tries up to the length cap, serve as oracles.
+into a prefix trie, a library's from that of its most general client; the
+semantics module walks the product of those tries against states and
+ownership transfers.  The trace sets, the interleaved prefixes of the tries
+up to the length cap, serve as oracles.
 """
 
 from __future__ import annotations
@@ -540,24 +541,22 @@ def _grow(c: Command, t: int, lib: Library | None, bounds: Bounds,
     raise TypeError(f"not a command: {c!r}")
 
 
+def most_general_client(lib: Library, bounds: Bounds) -> ClientProgram:
+    """Each of ``mgc_threads`` threads makes ``mgc_iters`` rounds of calls,
+    each round to any one method; a library without methods gets a client
+    without threads, whose one trace is the empty one."""
+    if not lib.methods:
+        return ClientProgram(())
+    call_any = choice(*(CallMethod(m) for m in lib.method_names))
+    return ClientProgram((seq(*(call_any,) * bounds.mgc_iters),) * bounds.mgc_threads)
+
+
 def _client_tries(client: ClientProgram, lib: Library | None, bounds: Bounds) -> tuple[_Trie, ...]:
-    """One trie per client thread; with ``lib`` the calls run their bodies,
-    which makes the tries of the complete program."""
+    """One trie per client thread; with ``lib`` the calls run their bodies, as
+    in a complete program or under the library's most general client."""
     roots = tuple(_Trie() for _ in client.threads)
     for t, (root, cmd) in enumerate(zip(roots, client.threads), 1):
         _grow(cmd, t, lib, bounds, [root])
-    return roots
-
-
-def _library_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
-    """Most general client: each of N threads makes ``mgc_iters`` rounds of
-    calls, each round to any one method."""
-    roots = tuple(_Trie() for _ in range(bounds.mgc_threads))
-    for t, root in enumerate(roots, 1):
-        layer = [root]
-        for _ in range(bounds.mgc_iters):
-            layer = [end for m in lib.method_names
-                     for end in _grow(CallMethod(m), t, lib, bounds, layer)]
     return roots
 
 
@@ -593,4 +592,6 @@ def client_trace_set(client: ClientProgram, bounds: Bounds) -> frozenset[Trace]:
 
 
 def library_trace_set(lib: Library, bounds: Bounds) -> frozenset[Trace]:
-    return frozenset(_interleave_prefixes(_library_tries(lib, bounds), bounds.max_trace_len))
+    """The complete trace set of the library under its most general client."""
+    return frozenset(_interleave_prefixes(
+        _client_tries(most_general_client(lib, bounds), lib, bounds), bounds.max_trace_len))

@@ -43,9 +43,9 @@ from .lang import (
     Trace,
     _Trie,
     _client_tries,
-    _library_tries,
     is_call,
     is_interface,
+    most_general_client,
     prim_step,
 )
 
@@ -230,18 +230,19 @@ def _denote(mode: Mode, tries: tuple[_Trie, ...], sigma: State, bounds: Bounds) 
     return Denotation(fault is not None, fault, frozenset(traces) if fault is None else frozenset())
 
 
-_library_thread_tries = lru_cache(maxsize=64)(_library_tries)
+# the tries of an open client, a complete program or a library's most general client
+_thread_tries = lru_cache(maxsize=64)(_client_tries)
 
 
-@lru_cache(maxsize=64)
-def _client_thread_tries(client: ClientProgram, bounds: Bounds) -> tuple[_Trie, ...]:
-    return _client_tries(client, None, bounds)
+def _mgc_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
+    """The cached tries of ``lib`` under its most general client."""
+    return _thread_tries(most_general_client(lib, bounds), lib, bounds)
 
 
 def _history_trie(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds,
                   under: str = "") -> HistoryTrie:
     """The histories-only ``_walk`` of the library, which must not fault."""
-    fault, trie = _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+    fault, trie = _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
                         bounds.max_trace_len, histories_only=True)
     if fault is not None:
         raise UnsafeComponentError(f"library faults{under} at {sigma!r}", fault)
@@ -251,26 +252,25 @@ def _history_trie(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds,
 def walk_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds, *,
                  cuts: Collection[History] | None = None) -> tuple[Trace | None, set[Trace]]:
     """``_walk`` over the library's most-general-client tries under ``gamma``."""
-    return _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+    return _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
                  bounds.max_trace_len, cuts=cuts)
 
 
 def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
-    return _denote(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma, bounds)
+    return _denote(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma, bounds)
 
 
 def denote_client(client: ClientProgram, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
-    return _denote(ClientLocal(gamma), _client_thread_tries(client, bounds), sigma, bounds)
+    return _denote(ClientLocal(gamma), _thread_tries(client, None, bounds), sigma, bounds)
 
 
 def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: Bounds) -> Denotation:
-    return _denote(COMPLETE, _client_tries(client, lib, bounds), sigma, bounds)
+    return _denote(COMPLETE, _thread_tries(client, lib, bounds), sigma, bounds)
 
 
 def clear_caches() -> None:
     """Drop the memoised per-thread tries."""
-    _library_thread_tries.cache_clear()
-    _client_thread_tries.cache_clear()
+    _thread_tries.cache_clear()
 
 
 def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -> Denotation:
@@ -476,13 +476,13 @@ def _trace_member(mode: Mode, tries: tuple[_Trie, ...], sigma: State, tau: Trace
 
 def library_trace_member(lib: Library, gamma: MethodSpec, sigma0: State,
                          tau: Trace, bounds: Bounds) -> bool:
-    return _trace_member(LibraryLocal(gamma), _library_thread_tries(lib, bounds),
+    return _trace_member(LibraryLocal(gamma), _mgc_tries(lib, bounds),
                          sigma0, tau, bounds)
 
 
 def client_trace_member(client: ClientProgram, gamma: MethodSpec, sigma: State,
                         tau: Trace, bounds: Bounds) -> bool:
-    return _trace_member(ClientLocal(gamma), _client_thread_tries(client, bounds),
+    return _trace_member(ClientLocal(gamma), _thread_tries(client, None, bounds),
                          sigma, tau, bounds)
 
 

@@ -53,6 +53,8 @@ from ownlin.lang import (
     TOP,
     Top,
     Trace,
+    _grow,
+    _Trie,
     choice,
     is_interface,
     library,
@@ -501,6 +503,19 @@ def reference_library_threads(lib: Library, bounds: Bounds) -> list[frozenset[Tr
                         mgc_threads=bounds.mgc_threads, max_trace_len=bounds.max_trace_len)
     return [command_traces(mgc, t, _method_eta(lib, bounds), mgc_bounds)
             for t in range(1, bounds.mgc_threads + 1)]
+
+
+def reference_mgc_tries(lib: Library, bounds: Bounds) -> tuple[_Trie, ...]:
+    """The most general client's tries grown by hand, round by round: each of
+    ``mgc_threads`` threads makes ``mgc_iters`` rounds of calls, each round to
+    any one method, the methods in name order."""
+    roots = tuple(_Trie() for _ in range(bounds.mgc_threads))
+    for t, root in enumerate(roots, 1):
+        layer = [root]
+        for _ in range(bounds.mgc_iters):
+            layer = [end for m in lib.method_names
+                     for end in _grow(CallMethod(m), t, lib, bounds, layer)]
+    return roots
 
 
 # ---------------------------------------------------------------------------

@@ -240,12 +240,48 @@ def test_abstraction_check_hypothesis_failures(name, spec):
     assert v.summary.startswith(f"{name}: "), v.summary
 
 
-def test_abstraction_checks_refuse_an_empty_initial_set():
-    for check, abstract in ((abstraction_check_code, (corpus.mini_stack(), corpus.MINI_INITIAL)),
-                            (abstraction_check_spec, (interface_set(()),))):
-        with pytest.raises(ValueError, match="need at least one initial state"):
-            check(corpus.push_pop_client(), GAMMA, corpus.CLIENT_INITIAL,
-                  corpus.mini_stack(), frozenset(), *abstract, SMALL, UNIVERSE)
+def _check_with(check, initial=corpus.CLIENT_INITIAL, initial1=corpus.MINI_INITIAL,
+                initial2=corpus.MINI_INITIAL):
+    """The verdict of ``check``, named, on the mini stack against itself, with
+    the push-pop client for the abstraction checks; the abstract interface
+    set is the one from ``initial2``."""
+    lib, client = corpus.mini_stack(), corpus.push_pop_client()
+    hset2 = interf(lib, GAMMA, initial2, BOUNDS)
+    fn, args = {
+        "check_lin_code": (check_lin_code, (lib, GAMMA, initial1, lib, initial2)),
+        "check_lin_interface_set": (check_lin_interface_set, (lib, GAMMA, initial1, hset2)),
+        "abstraction_check_code": (abstraction_check_code,
+                                   (client, GAMMA, initial, lib, initial1, lib, initial2)),
+        "abstraction_check_spec": (abstraction_check_spec,
+                                   (client, GAMMA, initial, lib, initial1, hset2)),
+    }[check]
+    return fn(*args, BOUNDS, UNIVERSE)
+
+
+@pytest.mark.parametrize("check,empty", [
+    ("check_lin_code", "initial1"), ("check_lin_interface_set", "initial1"),
+    ("abstraction_check_code", "initial"), ("abstraction_check_code", "initial1"),
+    ("abstraction_check_spec", "initial"), ("abstraction_check_spec", "initial1"),
+])
+def test_an_empty_checked_initial_set_fails_the_hypothesis(check, empty):
+    # over no initial state every behaviour would be reproduced vacuously
+    assert _check_with(check).status is Status.HOLDS_AT_BOUNDS
+    v = _check_with(check, **{empty: frozenset()})
+    assert v.status is Status.HYPOTHESIS_FAILED
+    assert v.summary == f"{empty} holds no initial state, so every check would pass vacuously"
+
+
+@pytest.mark.parametrize("check,status,prefix", [
+    ("check_lin_code", Status.VIOLATED, ""),
+    ("check_lin_interface_set", Status.VIOLATED, ""),
+    ("abstraction_check_code", Status.HYPOTHESIS_FAILED, "linearizability hypothesis: "),
+    ("abstraction_check_spec", Status.HYPOTHESIS_FAILED, "linearizability hypothesis: "),
+])
+def test_an_empty_abstract_initial_set_reproduces_nothing(check, status, prefix):
+    n = len(interf(corpus.mini_stack(), GAMMA, corpus.MINI_INITIAL, BOUNDS))
+    v = _check_with(check, initial2=frozenset())
+    assert v.status is status
+    assert v.summary == f"{prefix}{n} behaviours not reproduced; first: {{4,5}} ()"
 
 
 def test_verdicts_are_reproducible():

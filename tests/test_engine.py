@@ -38,10 +38,10 @@ from ownlin.semantics import (
     ClientLocal,
     LibraryLocal,
     UnsafeComponentError,
-    _client_thread_tries,
     _history_trie,
     _interface_set_of,
-    _library_thread_tries,
+    _mgc_tries,
+    _thread_tries,
     _walk,
     clear_caches,
     denote_client,
@@ -253,7 +253,7 @@ def test_faulting_library_is_reported_by_both_paths(name, lib, gamma, initial):
 
 
 def _history_walk(lib, gamma, sigma, bounds):
-    return _walk(LibraryLocal(gamma), _library_thread_tries(lib, bounds), sigma,
+    return _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
                  bounds.max_trace_len, histories_only=True)
 
 
@@ -284,7 +284,7 @@ def test_walk_along_cuts_stops_at_them(name, lib, gamma, initial, length):
 
 def test_histories_walk_takes_no_cuts():
     bounds = Bounds(1, 1, 2, 6)
-    tries = _library_thread_tries(corpus.mini_stack(), bounds)
+    tries = _mgc_tries(corpus.mini_stack(), bounds)
     sigma = next(iter(corpus.MINI_INITIAL))
     for cuts in (set(), {()}):
         with pytest.raises(ValueError, match="takes no cuts"):
@@ -292,15 +292,19 @@ def test_histories_walk_takes_no_cuts():
 
 
 def test_clear_caches_empties_the_bounded_caches():
+    # one bounded cache holds the tries of a library, a client and a complete
+    # program; the complete program's are built once for all initial states
     bounds = Bounds(1, 1, 2, 6)
-    sigma = next(iter(corpus.MINI_INITIAL))
-    denote_library(corpus.mini_stack(), GAMMA, sigma, bounds)
-    denote_client(corpus.push_pop_client(), GAMMA, next(iter(corpus.CLIENT_INITIAL)), bounds)
-    cached = (_library_thread_tries, _client_thread_tries)
-    assert all(f.cache_info().maxsize is not None for f in cached)
-    assert all(f.cache_info().currsize > 0 for f in cached)
     clear_caches()
-    assert all(f.cache_info().currsize == 0 for f in cached)
+    denote_library(corpus.mini_stack(), GAMMA, next(iter(corpus.MINI_INITIAL)), bounds)
+    denote_client(corpus.push_pop_client(), GAMMA, next(iter(corpus.CLIENT_INITIAL)), bounds)
+    for sigma in (CLIENT_START, star(CLIENT_START, ram({9: 0}))):
+        denote_complete(corpus.mini_stack(), corpus.push_pop_client(), sigma, bounds)
+    info = _thread_tries.cache_info()
+    assert info.maxsize is not None
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    clear_caches()
+    assert _thread_tries.cache_info().currsize == 0
 
 
 def _fresh_edges(trie):
@@ -330,7 +334,7 @@ def test_walk_evaluates_each_node_and_state_once(name, lib, gamma, initial, hist
                                                  monkeypatch):
     # the walk of the shared tries is the one ``walk_library`` and ``interf`` make
     bounds = Bounds(1, 2, 2, 7)
-    cached = _library_thread_tries(lib, bounds)
+    cached = _mgc_tries(lib, bounds)
     tries = tuple(_fresh_edges(t) for t in cached)
     mode = LibraryLocal(gamma)
     want = {sigma: _walk(mode, cached, sigma, bounds.max_trace_len, histories_only)

@@ -8,7 +8,6 @@ from ownlin import corpus, frame, ram, semantics, star
 from ownlin.algebra import star_set
 from ownlin.frame import (
     Hypothesis4Witness,
-    SpecExtension,
     SplitViolation,
     ceil_action,
     ceil_history,
@@ -44,12 +43,6 @@ def test_extends_reflexive_and_strict():
 def test_extends_requires_same_methods():
     with pytest.raises(ValueError):
         extends(GAMMA, corpus.gamma_trivial(), UNIVERSE)
-
-
-def test_spec_extension_checked():
-    SpecExtension.checked(GAMMA, GAMMA_OBJ, UNIVERSE)
-    with pytest.raises(ValueError):
-        SpecExtension.checked(GAMMA_OBJ, GAMMA, UNIVERSE)
 
 
 def test_floor_and_ceil_split_and_recompose():
@@ -145,6 +138,19 @@ def test_frame_check_scribbler_fails_hypotheses():
     assert report.hypothesis4_witness is not None
     # writing into transferred blocks also breaks base-contract safety
     assert ("lib1:base", False) in report.safety
+
+
+@pytest.mark.parametrize("lib1", [corpus.mini_stack_scribbler(), corpus.mini_stack_slow()],
+                         ids=["scribbler", "slow"])
+@pytest.mark.parametrize("empty", ["initial1", "initial_extra"])
+def test_frame_check_rejects_an_empty_checked_initial_set(lib1, empty):
+    # over no initial state every hypothesis would hold vacuously
+    sets = {"initial1": corpus.MINI_INITIAL, "initial_extra": corpus.EXTRA_INITIAL_EMPTY,
+            empty: frozenset()}
+    with pytest.raises(ValueError, match=f"^{empty} holds no initial state, so every check "
+                                         "would pass vacuously$"):
+        frame_check(lib1, corpus.mini_stack(), GAMMA, GAMMA_OBJ, sets["initial1"],
+                    corpus.MINI_INITIAL, sets["initial_extra"], BOUNDS, UNIVERSE)
 
 
 def test_frame_check_rejects_a_contract_not_covering_a_thread():

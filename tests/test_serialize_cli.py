@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ from ownlin import Algebra, corpus, delta, ram, ram_pi
 from ownlin.checker import Status, check_lin_code
 from ownlin.cli import main
 from ownlin.footprint import Full, ram_foot, ram_pi_foot
-from ownlin.history import call, ret
-from ownlin.lang import Bounds, Program
+from ownlin.history import BalancedHistory, call, interface_set, ret
+from ownlin.lang import Bounds, Program, library, method_spec
+from ownlin.semantics import interf
 from ownlin import serialize
 
 
@@ -98,7 +100,6 @@ def test_interface_set_loader_names_a_field_of_the_wrong_shape(obj, field):
 
 
 def test_interface_set_round_trip():
-    from ownlin.semantics import interf
     hs = interf(corpus.mini_stack(), corpus.gamma_val(), corpus.MINI_INITIAL,
                 Bounds(1, 1, 1, 8))
     obj = serialize.interface_set_to_json(hs)
@@ -175,6 +176,25 @@ def test_cli_dump_interf(corpus_files, capsys):
     assert {"alg": "ram", "locs": [4, 5]} in [e["initial"] for e in payload["entries"]]
 
 
+def test_cli_library_without_methods(tmp_path, capsys):
+    # the most general client of a library with no methods makes no call: its
+    # one behaviour is the empty history, from each initial state
+    sigma = ram({4: 0})
+    prog = Program(Algebra.RAM, library=library({}), gamma=method_spec({}),
+                   initial=frozenset({sigma}), bounds=Bounds(1, 2, 2, 8))
+    path = tmp_path / "empty_library.json"
+    serialize.dump_json(serialize.program_to_json(prog), str(path))
+    assert main(["check-lin", str(path), str(path)]) == 0
+    assert capsys.readouterr().out == "holds-at-bounds: all 1 behaviours reproduced\n" \
+        f"  {delta(sigma)!r} () -> {delta(sigma)!r} () via ()\n"
+    assert main(["dump-interf", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["entries"] == [{"initial": serialize.footprint_to_json(delta(sigma)),
+                                   "history": []}]
+    want = interface_set([BalancedHistory(delta(sigma), ())])
+    assert interf(prog.library, prog.gamma, prog.initial, prog.bounds) == want
+
+
 def _client_file(tmp_path) -> str:
     client = Program(Algebra.RAM, client=corpus.push_pop_client(1),
                      gamma=corpus.gamma_val(), initial=frozenset({ram({1: 7})}),
@@ -191,14 +211,33 @@ def test_cli_abstraction(corpus_files, tmp_path, capsys):
     assert code == 0
 
 
-def test_cli_abstraction_empty_initial_is_an_input_error(corpus_files, tmp_path, capsys):
-    obj = serialize.load_json(corpus_files["mini_slow"])
+def _without_initial_states(path, tmp_path) -> str:
+    obj = serialize.load_json(path)
     obj["initial"] = []
-    empty = tmp_path / "empty.json"
+    empty = tmp_path / f"no_initial_{os.path.basename(path)}"
     serialize.dump_json(obj, str(empty))
-    code = main(["abstraction", _client_file(tmp_path), str(empty), corpus_files["mini"]])
-    assert code == 2
-    assert "need at least one initial state" in capsys.readouterr().err
+    return str(empty)
+
+
+def _vacuous(name: str) -> str:
+    return f"{name} holds no initial state, so every check would pass vacuously"
+
+
+def test_cli_abstraction_empty_initial_is_an_input_error(corpus_files, tmp_path, capsys):
+    client = _client_file(tmp_path)
+    for argv, name in (
+            ([client, _without_initial_states(corpus_files["mini_slow"], tmp_path),
+              corpus_files["mini"]], "initial1"),
+            ([_without_initial_states(client, tmp_path), corpus_files["mini_slow"],
+              corpus_files["mini"]], "initial")):
+        assert main(["abstraction", *argv]) == 2
+        assert capsys.readouterr().out == f"hypothesis-failed: {_vacuous(name)}\n"
+
+
+def test_cli_check_lin_empty_initial_is_an_input_error(corpus_files, tmp_path, capsys):
+    empty = _without_initial_states(corpus_files["mini_slow"], tmp_path)
+    assert main(["check-lin", empty, corpus_files["mini"]]) == 2
+    assert capsys.readouterr().out == f"hypothesis-failed: {_vacuous('initial1')}\n"
 
 
 def _extension_file(tmp_path) -> str:
@@ -217,6 +256,18 @@ def test_cli_frame_check(corpus_files, tmp_path):
     code = main(["frame-check", corpus_files["mini_slow"], corpus_files["mini"],
                  _extension_file(tmp_path)])
     assert code == 0
+
+
+def test_cli_frame_check_empty_initial_is_an_input_error(corpus_files, tmp_path, capsys):
+    ext = _extension_file(tmp_path)
+    empty = _without_initial_states(corpus_files["scribbler"], tmp_path)
+    assert main(["frame-check", empty, corpus_files["mini"], ext]) == 2
+    assert capsys.readouterr().err == f"error: {_vacuous('initial1')}\n"
+    obj = serialize.load_json(ext)
+    obj["initial_extra"] = []
+    serialize.dump_json(obj, ext)
+    assert main(["frame-check", corpus_files["scribbler"], corpus_files["mini"], ext]) == 2
+    assert capsys.readouterr().err == f"error: {_vacuous('initial_extra')}\n"
 
 
 def test_cli_extension_whose_initial_extra_is_not_an_array(corpus_files, tmp_path, capsys):
@@ -561,7 +612,6 @@ def _json_slots(obj, path=()):
 
 
 def _fuzz_corpus():
-    from ownlin.semantics import interf
     mini = corpus.mini_stack(), corpus.gamma_val(), corpus.MINI_INITIAL
     hs = interf(*mini, Bounds(1, 1, 2, 6))
     pi_state = ram_pi({42: (0, Fraction(1, 2)), 43: (1, 1)})

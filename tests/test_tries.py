@@ -3,10 +3,14 @@ set by set from the command semantics (``helpers.command_traces``).
 
 A trie is fixed by its set of paths, which must be the prefix closure of the
 thread's reference trace set.  Its child order follows the command tree, so
-the walk, and the fault trace it reports, do not depend on the hash seed.
+the walk, and the fault trace it reports, do not depend on the hash seed.  A
+library's tries are those of its most general client, which must equal, child
+order included, the tries grown round by hand (``helpers.reference_mgc_tries``).
 """
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 
@@ -17,21 +21,29 @@ from ownlin.lang import (
     SKIP,
     Bounds,
     Choice,
+    ClientProgram,
     Prim,
     Star,
-    _client_tries,
     _interleave_prefixes,
-    _library_tries,
     _Trie,
     client_trace_set,
     complete_trace_set,
     library,
     library_trace_set,
+    most_general_client,
     seq,
     store,
 )
+from ownlin.semantics import _mgc_tries, _thread_tries
 
-from helpers import reference_client_threads, reference_library_threads
+from helpers import (
+    random_gamma,
+    random_library,
+    reference_client_threads,
+    reference_library_threads,
+    reference_mgc_tries,
+)
+from test_engine import ALL_IDS, ALL_LIBRARIES
 
 BOUNDS = (Bounds(1, 1, 1, 6), Bounds(1, 2, 2, 6), Bounds(2, 1, 2, 5),
           Bounds(0, 1, 2, 5), Bounds(2, 1, 1, 7))
@@ -88,17 +100,47 @@ def _check(tries, reference, trace_set, bounds):
 @pytest.mark.parametrize("bounds", BOUNDS, ids=str)
 @pytest.mark.parametrize("name,lib", LIBRARIES, ids=[c[0] for c in LIBRARIES])
 def test_library_tries_match_the_reference(name, lib, bounds):
-    _check(_library_tries(lib, bounds), reference_library_threads(lib, bounds),
+    _check(_mgc_tries(lib, bounds), reference_library_threads(lib, bounds),
            library_trace_set(lib, bounds), bounds)
 
 
 @pytest.mark.parametrize("bounds", BOUNDS, ids=str)
 @pytest.mark.parametrize("name,client,lib", CLIENTS, ids=[c[0] for c in CLIENTS])
 def test_client_and_complete_tries_match_the_reference(name, client, lib, bounds):
-    _check(_client_tries(client, None, bounds), reference_client_threads(client, None, bounds),
+    _check(_thread_tries(client, None, bounds), reference_client_threads(client, None, bounds),
            client_trace_set(client, bounds), bounds)
-    _check(_client_tries(client, lib, bounds), reference_client_threads(client, lib, bounds),
+    _check(_thread_tries(client, lib, bounds), reference_client_threads(client, lib, bounds),
            complete_trace_set(lib, client, bounds), bounds)
+
+
+def _ordered(trie):
+    """The trie as nested (action, subtree) pairs, children in their order."""
+    return tuple((action, _ordered(child)) for action, child in trie.children.items())
+
+
+def _random_libraries(seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        yield f"random-{seed}", random_library(rng, random_gamma(rng, ("a", "b")))
+
+
+MGC_LIBRARIES = ([(name, lib) for name, (_, lib, _, _) in zip(ALL_IDS, ALL_LIBRARIES)]
+                 + list(_random_libraries(range(4))))
+
+
+@pytest.mark.parametrize("name,lib", MGC_LIBRARIES, ids=[name for name, _ in MGC_LIBRARIES])
+def test_most_general_client_grows_the_reference_tries_in_order(name, lib):
+    for iters, threads, unroll in itertools.product((1, 2, 3), (1, 2, 3), (1, 2)):
+        bounds = Bounds(unroll, iters, threads, 8)
+        got = _mgc_tries(lib, bounds)
+        want = reference_mgc_tries(lib, bounds)
+        assert [_ordered(t) for t in got] == [_ordered(t) for t in want]
+
+
+def test_most_general_client_of_a_library_without_methods_has_no_thread():
+    bounds = Bounds(1, 2, 2, 8)
+    assert most_general_client(library({}), bounds) == ClientProgram(())
+    assert library_trace_set(library({}), bounds) == frozenset({()})
 
 
 def _reached_more_than_once(roots):
@@ -118,11 +160,11 @@ def test_every_trie_node_has_one_parent_edge(bounds):
     # the product walk keys its memo by (node, state) for the action on the
     # node's one parent edge
     for _, lib in LIBRARIES:
-        assert not _reached_more_than_once(_library_tries(lib, bounds))
+        assert not _reached_more_than_once(_mgc_tries(lib, bounds))
         assert not _reached_more_than_once([_Trie.of(library_trace_set(lib, bounds))])
     for _, client, lib in CLIENTS:
-        assert not _reached_more_than_once(_client_tries(client, None, bounds))
-        assert not _reached_more_than_once(_client_tries(client, lib, bounds))
+        assert not _reached_more_than_once(_thread_tries(client, None, bounds))
+        assert not _reached_more_than_once(_thread_tries(client, lib, bounds))
 
 
 _FAULT_TRACES = """
