@@ -18,7 +18,7 @@ from .history import History, InterfaceSet, LeqReport, interface_set_leq
 from .lang import Bounds, ClientProgram, Library, MethodSpec, Program, Trace
 from .semantics import (
     UnsafeComponentError,
-    _algebra_of,
+    _nonempty,
     client_of,
     denotation_pairs,
     equivalence_key,
@@ -55,14 +55,6 @@ class Verdict:
     def as_dict(self) -> dict:
         return {"status": self.status.value, "summary": self.summary,
                 "details": list(self.details)}
-
-
-def _nonempty(name: str, states: Iterable[State]) -> frozenset[State]:
-    """``states`` as a set; none would make every check pass vacuously."""
-    out = frozenset(states)
-    if not out:
-        raise ValueError(f"{name} holds no initial state, so every check would pass vacuously")
-    return out
 
 
 def _leq_lines(report: LeqReport) -> tuple[str, ...]:
@@ -170,7 +162,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
         initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
     except ValueError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    algebra = _algebra_of(initial1)
+    algebra = next(iter(initial1)).algebra
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)
@@ -205,7 +197,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
         initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
     except ValueError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    algebra = _algebra_of(initial1)
+    algebra = next(iter(initial1)).algebra
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)

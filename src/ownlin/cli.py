@@ -17,7 +17,7 @@ from .frame import frame_check
 from .history import evaluate_footprint, linearized_by
 from .lang import Bounds, Program
 from .rearrange import rearrange
-from .semantics import UnsafeComponentError, denote_library, history_of, interf, trace_sort_key
+from .semantics import _history_trie, history_of, interf, least_library_trace
 from . import serialize
 
 
@@ -150,29 +150,24 @@ def _cmd_dump_interf(args) -> int:
     return 0
 
 
-def _sorted_library_traces(prog: Program, sigma0: State, bounds: Bounds) -> list:
-    d = denote_library(prog.library, prog.gamma, sigma0, bounds)
-    if d.faulted:
-        raise UnsafeComponentError(f"library faults at {sigma0!r}", d.fault_trace)
-    return sorted(d.traces, key=trace_sort_key)
-
-
 def _cmd_rearrange(args) -> int:
     prog = _load_program(args.library, "library", "gamma")
     target = serialize.expect_json(serialize.load_json(args.target), dict, "target")
     target_initial = serialize.footprint_from_json(target["initial"])
     target_history = serialize.history_from_json(target["history"])
     bounds = _apply_bound_overrides(prog.bounds, args)
-    # the least trace of the first initial state below the target that has one
-    found = next(((sigma0, tau)
-                  for sigma0 in sorted(prog.initial, key=State.sort_key)
-                  if foot_leq(delta(sigma0), target_initial)
-                  for tau in _sorted_library_traces(prog, sigma0, bounds)
-                  if linearized_by(target_history, history_of(tau)) is not None), None)
-    if found is None:
+    # the least trace of the first initial state below the target that has one:
+    # its histories walk picks the linearizing histories, the cut walk the trace
+    for sigma0 in sorted(prog.initial, key=State.sort_key):
+        if foot_leq(delta(sigma0), target_initial):
+            hs = {h for h, _ in _history_trie(prog.library, prog.gamma, sigma0, bounds)
+                  if linearized_by(target_history, h) is not None}
+            if hs:
+                tau = least_library_trace(prog.library, prog.gamma, sigma0, bounds, hs)
+                break
+    else:
         print("no trace of the library linearizes the target history", file=sys.stderr)
         return 1
-    sigma0, tau = found
     result, log = rearrange(prog.library, prog.gamma, sigma0, tau,
                             target_history, target_initial, bounds)
     payload = {

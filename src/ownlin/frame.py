@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
-from .checker import Status, _nonempty
+from .checker import Status
 from .history import History, InterfaceAction, Kind
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
@@ -22,9 +22,9 @@ from .semantics import (
     _histories_by_state,
     _history_trie,
     _interface_set_of,
+    _nonempty,
     history_of,
-    trace_sort_key,
-    walk_library,
+    least_library_trace,
 )
 from .history import interface_set_leq, LeqReport
 
@@ -186,8 +186,7 @@ def _preservation_witness(lib: Library, gamma: MethodSpec, gamma_ext: MethodSpec
                         cuts.add(h)
                 extras.append(cur)
             if cuts:
-                _, traces = walk_library(lib, gamma_ext, combined, bounds, cuts=cuts)
-                tau = min(traces, key=trace_sort_key)
+                tau = least_library_trace(lib, gamma_ext, combined, bounds, cuts)
                 # a cut that does not split raises here, as it must
                 ceil = ceil_history(history_of(tau), gamma)
                 _, index = extra_eval_explain(ceil, sigma_extra)

@@ -249,11 +249,17 @@ def _history_trie(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds,
     return trie
 
 
-def walk_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds, *,
-                 cuts: Collection[History] | None = None) -> tuple[Trace | None, set[Trace]]:
-    """``_walk`` over the library's most-general-client tries under ``gamma``."""
-    return _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
-                 bounds.max_trace_len, cuts=cuts)
+def least_library_trace(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds,
+                        histories: Collection[History]) -> Trace | None:
+    """The ``trace_sort_key``-least trace of the library from ``sigma`` whose
+    history is in ``histories``, a set none of which is a prefix of another,
+    or ``None``.  The library must be safe from ``sigma``: callers have walked
+    its histories already.  The least such trace ends at its history's last
+    action, since cutting it there keeps the history and shortens it; so the
+    cut walk, which stops at the cuts, reaches it."""
+    _, traces = _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
+                      bounds.max_trace_len, cuts=histories)
+    return min(traces, key=trace_sort_key, default=None)
 
 
 def denote_library(lib: Library, gamma: MethodSpec, sigma: State, bounds: Bounds) -> Denotation:
@@ -509,9 +515,12 @@ def compose_decompose_check(client: ClientProgram, lib: Library, gamma: MethodSp
     most-general-client iteration count has to cover the client's per-thread
     invocations, or complete traces go without a library pair.
     ``library_transform`` lets tests mutate the library-local side; any
-    resulting mismatch must be reported.
+    resulting mismatch must be reported.  An empty initial set on either side
+    is refused, since it would make both sides of the equation empty.
     """
-    gamma_client = Program(_algebra_of(initial_client, initial_lib), client=client,
+    initial_client = _nonempty("initial_client", initial_client)
+    initial_lib = _nonempty("initial_lib", initial_lib)
+    gamma_client = Program(next(iter(initial_client)).algebra, client=client,
                            gamma=gamma, bounds=bounds)
     lib_prog = Program(gamma_client.algebra, library=lib, gamma=gamma, bounds=bounds)
     X = denotation_pairs(gamma_client, initial_client, bounds)
@@ -546,8 +555,9 @@ def compose_decompose_check(client: ClientProgram, lib: Library, gamma: MethodSp
     return rec.report()
 
 
-def _algebra_of(*state_sets: Iterable[State]):
-    for states in state_sets:
-        for s in states:
-            return s.algebra
-    raise ValueError("need at least one initial state")
+def _nonempty(name: str, states: Iterable[State]) -> frozenset[State]:
+    """``states`` as a set; none would make every check pass vacuously."""
+    out = frozenset(states)
+    if not out:
+        raise ValueError(f"{name} holds no initial state, so every check would pass vacuously")
+    return out

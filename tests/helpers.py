@@ -65,7 +65,6 @@ from ownlin.lang import (
 from ownlin import ram
 from ownlin.semantics import (
     UnsafeComponentError,
-    _algebra_of,
     _split_actions,
     all_covers,
     client_of,
@@ -195,7 +194,7 @@ def compose_decompose_oracle(client, lib, gamma, initial_client, initial_lib, bo
     trace, look for a pair whose ground traces are the trace's client and
     library projections, whose histories match and whose states compose to
     the trace's initial state."""
-    algebra = _algebra_of(initial_client, initial_lib)
+    algebra = next(iter(initial_client)).algebra
     X = denotation_pairs(Program(algebra, client=client, gamma=gamma, bounds=bounds),
                          initial_client, bounds)
     Y = denotation_pairs(Program(algebra, library=lib, gamma=gamma, bounds=bounds),
@@ -296,6 +295,27 @@ def framed_witness_oracle(lib, gamma, gamma_ext, initial_base, initial_extra, bo
                 ceil = ceil_history(history_of(tau), gamma)
                 _, index = extra_eval_explain(ceil, sigma_extra)
                 return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
+    return None
+
+
+def rearrange_source_oracle(lib, gamma, initial, target_initial, target_history, bounds):
+    """The (initial state, trace) that ``ownlin rearrange`` starts from, by the
+    full walk: from the first initial state in order whose footprint is below
+    the target's and that has one, the least trace of the whole denotation
+    whose history the target linearizes; ``None`` if no state has one."""
+    for sigma0 in sorted(initial, key=State.sort_key):
+        if not foot_leq(delta(sigma0), target_initial):
+            continue
+        d = denote_library(lib, gamma, sigma0, bounds)
+        if d.faulted:
+            raise UnsafeComponentError(f"library faults at {sigma0!r}", d.fault_trace)
+        by_history = defaultdict(list)
+        for tau in d.traces:
+            by_history[history_of(tau)].append(tau)
+        found = [tau for h, taus in by_history.items()
+                 if linearized_by(target_history, h) is not None for tau in taus]
+        if found:
+            return sigma0, min(found, key=trace_sort_key)
     return None
 
 

@@ -51,7 +51,8 @@ from ownlin.semantics import (
     eval_trace,
     history_of,
     interf,
-    walk_library,
+    least_library_trace,
+    trace_sort_key,
 )
 
 BOUNDS = (Bounds(1, 1, 2, 6), Bounds(1, 2, 2, 7))
@@ -266,20 +267,37 @@ def test_deduplicating_walk_meets_the_full_walks_first_fault(name, lib, gamma, i
     assert fault == denote_library(lib, gamma, sigma, bounds).fault_trace
 
 
+def _antichain(lib, gamma, sigma, bounds, length):
+    """Every second history of one length, in ``repr`` order: histories of one
+    length are prefixes of none of the others, and the ones left out leave
+    paths a walk along the rest must not take."""
+    histories = {h for h, _ in _history_trie(lib, gamma, sigma, bounds)}
+    return set(sorted((h for h in histories if len(h) == length), key=repr)[::2])
+
+
 @pytest.mark.parametrize("length", (1, 2, 3))
 @pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
 def test_walk_along_cuts_stops_at_them(name, lib, gamma, initial, length):
-    # histories of one length are prefixes of none of the others; every
-    # second one leaves paths the walk must not take
     bounds = Bounds(1, 1, 2, 7)
     for sigma in initial:
-        histories = {h for h, _ in _history_trie(lib, gamma, sigma, bounds)}
-        cuts = set(sorted((h for h in histories if len(h) == length), key=repr)[::2])
-        _, got = walk_library(lib, gamma, sigma, bounds, cuts=cuts)
+        cuts = _antichain(lib, gamma, sigma, bounds, length)
+        _, got = _walk(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
+                       bounds.max_trace_len, cuts=cuts)
         want = {tau for tau in denote_library(lib, gamma, sigma, bounds).traces
                 if tau and isinstance(tau[-1], InterfaceAction) and history_of(tau) in cuts}
         assert got == want
         assert bool(got) == bool(cuts)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
+def test_least_library_trace_is_the_least_of_the_denotation(name, lib, gamma, initial, bounds):
+    for sigma in initial:
+        traces = denote_library(lib, gamma, sigma, bounds).traces
+        for hs in (set(), *(_antichain(lib, gamma, sigma, bounds, n) for n in (1, 2, 3))):
+            want = min((t for t in traces if history_of(t) in hs), key=trace_sort_key,
+                       default=None)
+            assert least_library_trace(lib, gamma, sigma, bounds, hs) == want
 
 
 def test_histories_walk_takes_no_cuts():
@@ -332,7 +350,7 @@ def _count_evaluations(monkeypatch):
 @pytest.mark.parametrize("name,lib,gamma,initial", ALL_LIBRARIES, ids=ALL_IDS)
 def test_walk_evaluates_each_node_and_state_once(name, lib, gamma, initial, histories_only,
                                                  monkeypatch):
-    # the walk of the shared tries is the one ``walk_library`` and ``interf`` make
+    # the walk of the shared tries is the one ``least_library_trace`` and ``interf`` make
     bounds = Bounds(1, 2, 2, 7)
     cached = _mgc_tries(lib, bounds)
     tries = tuple(_fresh_edges(t) for t in cached)

@@ -1,7 +1,9 @@
+import functools
 import os
 import random
 import subprocess
 import sys
+from types import MappingProxyType
 
 import pytest
 
@@ -29,17 +31,24 @@ def _rules(log) -> set[str]:
     return {w.rule for s in log.stages for w in s.swaps}
 
 
-def _library_traces_by_history(lib, initial):
+def _traces_by_history(lib, initial):
     sigma0 = next(iter(initial))
     d = denote_library(lib, GAMMA, sigma0, BOUNDS)
     by_hist = {}
     for tau in d.traces:
         by_hist.setdefault(history_of(tau), []).append(tau)
-    return sigma0, by_hist
+    return sigma0, MappingProxyType({h: tuple(taus) for h, taus in by_hist.items()})
 
 
-def test_try_swap_cmd_before_call():
-    sigma0, by_hist = _library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
+@pytest.fixture(scope="module")
+def library_traces_by_history():
+    """(an initial state, the library's traces from it by history), built once
+    per (library, initial set) in this module and shared, so read-only."""
+    return functools.cache(_traces_by_history)
+
+
+def test_try_swap_cmd_before_call(library_traces_by_history):
+    sigma0, by_hist = library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
     for traces in by_hist.values():
         for tau in traces:
             for i in range(len(tau) - 1):
@@ -54,8 +63,8 @@ def test_try_swap_cmd_before_call():
     pytest.skip("no candidate pair found")
 
 
-def test_try_swap_ret_before_non_call():
-    sigma0, by_hist = _library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
+def test_try_swap_ret_before_non_call(library_traces_by_history):
+    sigma0, by_hist = library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
     for traces in by_hist.values():
         for tau in traces:
             for i in range(len(tau) - 1):
@@ -99,8 +108,8 @@ def test_try_swap_refuses_unbalancing_ret_call_swap():
     assert try_swap(lib, gamma, sigma0, tau, i, b) is None
 
 
-def test_rearrange_identity():
-    sigma0, by_hist = _library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
+def test_rearrange_identity(library_traces_by_history):
+    sigma0, by_hist = library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
     h = max(by_hist, key=len)
     tau = by_hist[h][0]
     out, log = rearrange(corpus.mini_stack(), GAMMA, sigma0, tau, h, delta(sigma0), BOUNDS)
@@ -108,8 +117,8 @@ def test_rearrange_identity():
     assert all(not s.swaps for s in log.stages)
 
 
-def test_rearrange_delinearizes_sequential_trace():
-    sigma0, by_hist = _library_traces_by_history(corpus.plain_stack(), corpus.PLAIN_INITIAL)
+def test_rearrange_delinearizes_sequential_trace(library_traces_by_history):
+    sigma0, by_hist = library_traces_by_history(corpus.plain_stack(), corpus.PLAIN_INITIAL)
     rng = random.Random(3)
     done = 0
     rules = set()
@@ -135,8 +144,8 @@ def test_rearrange_delinearizes_sequential_trace():
     assert rules == LIBRARY_RULES
 
 
-def test_rearrange_rejects_bad_preconditions():
-    sigma0, by_hist = _library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
+def test_rearrange_rejects_bad_preconditions(library_traces_by_history):
+    sigma0, by_hist = library_traces_by_history(corpus.mini_stack(), corpus.MINI_INITIAL)
     h = max(by_hist, key=len)
     tau = by_hist[h][0]
     other = (InterfaceAction(1, Kind.CALL, "push", ram({1: 7})),)

@@ -203,6 +203,20 @@ def test_compose_decompose_trivial():
     assert report.passed, report.counterexamples[:3]
 
 
+@pytest.mark.parametrize("initial_client,initial_lib,name", (
+    (frozenset(), corpus.MINI_INITIAL, "initial_client"),
+    (corpus.CLIENT_INITIAL, frozenset(), "initial_lib"),
+    (frozenset(), frozenset(), "initial_client"),
+), ids=("client", "library", "both"))
+def test_compose_decompose_refuses_an_empty_initial_set(initial_client, initial_lib, name):
+    # with either side empty, both sides of the lemma's equation are empty
+    with pytest.raises(ValueError, match=f"^{name} holds no initial state, so every check "
+                                         "would pass vacuously$"):
+        compose_decompose_check(corpus.push_pop_client(), corpus.mini_stack(),
+                                corpus.gamma_val(), initial_client, initial_lib,
+                                Bounds(1, 1, 2, 6))
+
+
 def test_compose_decompose_mini_stack():
     report = compose_decompose_check(
         _MINI_CLIENT, corpus.mini_stack(), corpus.gamma_val(),

@@ -12,8 +12,10 @@ from ownlin.cli import main
 from ownlin.footprint import Full, ram_foot, ram_pi_foot
 from ownlin.history import BalancedHistory, call, interface_set, ret
 from ownlin.lang import Bounds, Program, library, method_spec
-from ownlin.semantics import interf
+from ownlin.semantics import _history_trie, history_of, interf
 from ownlin import serialize
+
+from helpers import delinearize, rearrange_source_oracle
 
 
 def test_state_json_round_trip():
@@ -308,13 +310,24 @@ def _target_file(tmp_path, history=_TARGET_HISTORY,
     return str(tpath)
 
 
+def _oracle_source(path, target, initial) -> dict:
+    """The ``initial`` and ``source_history`` that ``rearrange`` must print."""
+    prog = serialize.load_program(path)
+    want = rearrange_source_oracle(prog.library, prog.gamma, prog.initial, delta(initial),
+                                   target, prog.bounds)
+    assert want is not None
+    return {"initial": serialize.state_to_json(want[0]),
+            "source_history": serialize.history_to_json(history_of(want[1]))}
+
+
 def test_cli_rearrange(corpus_files, tmp_path, capsys):
     code = main(["rearrange", corpus_files["mini"], _target_file(tmp_path), "--explain"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
     assert "log" in payload
-
+    want = _oracle_source(corpus_files["mini"], _TARGET_HISTORY, next(iter(corpus.MINI_INITIAL)))
+    assert {k: payload[k] for k in want} == want
 
 
 def test_cli_rearrange_target_no_trace_linearizes(corpus_files, tmp_path, capsys):
@@ -341,6 +354,33 @@ def test_cli_rearrange_skips_an_initial_state_not_below_the_target(corpus_files,
     payload = json.loads(capsys.readouterr().out)
     assert payload["initial"] == serialize.state_to_json(chosen)
     assert payload["result_history"] == serialize.history_to_json(_TARGET_HISTORY)
+    want = _oracle_source(str(path), _TARGET_HISTORY, chosen)
+    assert {k: payload[k] for k in want} == want
+
+
+
+@pytest.mark.parametrize("bounds", (Bounds(1, 1, 2, 8), Bounds(1, 2, 2, 9)), ids=str)
+@pytest.mark.parametrize("name,lib,initial", (
+    ("mini_stack", corpus.mini_stack(), corpus.MINI_INITIAL),
+    ("plain_stack", corpus.plain_stack(), corpus.PLAIN_INITIAL),
+), ids=("mini_stack", "plain_stack"))
+def test_cli_rearrange_source_of_delinearized_targets_is_the_oracles(name, lib, initial, bounds,
+                                                                     tmp_path, capsys):
+    prog = Program(Algebra.RAM, library=lib, gamma=corpus.gamma_val(), initial=initial,
+                   universe=corpus.CORPUS_UNIVERSE, bounds=bounds)
+    path = tmp_path / f"{name}.json"
+    serialize.dump_json(serialize.program_to_json(prog), str(path))
+    (sigma0,) = initial
+    histories = sorted((h for h, _ in _history_trie(lib, prog.gamma, sigma0, bounds)
+                        if len(h) >= 3), key=repr)
+    rng = random.Random(f"{name} {bounds}")
+    for h in rng.sample(histories, 5):
+        target = delinearize(rng, h, 3)
+        assert main(["rearrange", str(path), _target_file(tmp_path, target, sigma0)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = _oracle_source(str(path), target, sigma0)
+        assert {k: payload[k] for k in want} == want
+
 
 def test_cli_rearrange_of_a_faulting_library_is_an_input_error(corpus_files, tmp_path, capsys):
     # the scribbler writes into a pushed object that gamma_val does not transfer
