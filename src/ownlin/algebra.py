@@ -91,6 +91,9 @@ class State:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("State is immutable")
 
+    def __reduce__(self):
+        return (State, (self.algebra, self.cells))
+
     def __eq__(self, other):
         return (
             isinstance(other, State)

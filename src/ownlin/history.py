@@ -28,15 +28,67 @@ class Kind(str, Enum):
 _KIND_NAME = {Kind.CALL: "call", Kind.RET: "ret"}
 
 
-@dataclass(frozen=True, slots=True)
+# (thread, kind, method, transferred) -> the one action of those fields;
+# ``semantics.clear_caches()`` empties it
+_ACTIONS: dict[tuple, "InterfaceAction"] = {}
+
+
 class InterfaceAction:
-    thread: int
-    kind: Kind
-    method: str
-    transferred: State
+    """A call or return of ``thread`` into ``method``, with the state it transfers.
+
+    Actions are interned: the histories of an interface set repeat a few
+    distinct actions many times, and every bucket, set and sort over them
+    would otherwise hash or order a heap state per occurrence.  Building an
+    action looks its fields up in a module table and returns the object
+    already there, so each distinct action is hashed and sort-keyed once.
+    Where fields are ``==``-equal but not identical (a thread of ``True``
+    and one of ``1``) the first-built object is kept; the decoders reject
+    booleans.  Equality stays by value, so no result depends on identity,
+    and the hash is that of the field tuple.
+    """
+
+    __slots__ = ("thread", "kind", "method", "transferred", "_hash", "_sort_key")
+
+    def __new__(cls, thread: int, kind: Kind, method: str, transferred: State):
+        key = (thread, kind, method, transferred)
+        # check-then-act without a lock: threads that race here may build two
+        # objects, which are equal by value and hash alike
+        a = _ACTIONS.get(key)
+        if a is None:
+            a = object.__new__(cls)
+            set_ = object.__setattr__
+            set_(a, "thread", thread)
+            set_(a, "kind", kind)
+            set_(a, "method", method)
+            set_(a, "transferred", transferred)
+            set_(a, "_hash", hash(key))
+            set_(a, "_sort_key", (thread, _KIND_NAME[kind], method, transferred.sort_key()))
+            _ACTIONS[key] = a
+        return a
+
+    def __setattr__(self, name, value):
+        raise AttributeError("InterfaceAction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("InterfaceAction is immutable")
+
+    def __reduce__(self):
+        return (InterfaceAction, (self.thread, self.kind, self.method, self.transferred))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not InterfaceAction:
+            return NotImplemented
+        return (self._hash == other._hash
+                and (self.thread, self.kind, self.method, self.transferred)
+                == (other.thread, other.kind, other.method, other.transferred))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
-        return (self.thread, _KIND_NAME[self.kind], self.method, self.transferred.sort_key())
+        return self._sort_key
 
     def __repr__(self):
         return f"({self.thread},{_KIND_NAME[self.kind]} {self.method}({self.transferred!r}))"

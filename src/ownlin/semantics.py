@@ -22,6 +22,7 @@ from typing import Callable, Collection, Iterable, Iterator, Union
 from .algebra import LawReport, Recorder, State, star, star_set, sub_pred
 from .footprint import delta
 from .history import (
+    _ACTIONS,
     BalancedHistory,
     History,
     InterfaceAction,
@@ -275,8 +276,11 @@ def denote_complete(lib: Library, client: ClientProgram, sigma: State, bounds: B
 
 
 def clear_caches() -> None:
-    """Drop the memoised per-thread tries."""
+    """Drop the memoised per-thread tries and empty the table of interned
+    interface actions; an action built afterwards is a new object, equal
+    by value to the old one."""
     _thread_tries.cache_clear()
+    _ACTIONS.clear()
 
 
 def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -> Denotation:

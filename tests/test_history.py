@@ -1,5 +1,11 @@
+import copy
+import json
+import pickle
 import random
+import sys
+import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -11,8 +17,10 @@ from ownlin import (
     balanced_linearized_by,
     call,
     check_well_formed,
+    corpus,
     empty_foot,
     evaluate_footprint,
+    interf,
     interface_set,
     interface_set_leq,
     is_balanced,
@@ -20,9 +28,13 @@ from ownlin import (
     linearized_by,
     ram,
     ram_foot,
+    ram_pi,
     ret,
 )
-from ownlin.history import _multiset, check_witness
+from ownlin.history import InterfaceAction, Kind, _multiset, check_witness
+from ownlin.lang import Bounds
+from ownlin.semantics import clear_caches
+from ownlin.serialize import interface_set_from_json, interface_set_to_json
 
 from helpers import (
     EMPTY,
@@ -354,3 +366,117 @@ def test_is_sequential():
     assert is_sequential((call(1, "m", EMPTY),))  # trailing pending call
     assert not is_sequential(
         (call(1, "m", EMPTY), call(2, "n", EMPTY), ret(1, "m", EMPTY)))
+
+
+# one action over each algebra, with the repr and sort key the dataclass
+# implementation gave them
+PINNED_ACTIONS = (
+    ((1, Kind.CALL, "push", ram({1: 7, 3: 0})),
+     "(1,call push([1:7, 3:0]))",
+     (1, "call", "push", (2, ((1, 7), (3, 0))))),
+    ((2, Kind.RET, "pop", ram_pi({2: (5, Fraction(1, 2)), 1: (0, 1)})),
+     "(2,ret pop([1:(0,1), 2:(5,1/2)]))",
+     (2, "ret", "pop", (2, ((1, (0, Fraction(1))), (2, (5, Fraction(1, 2))))))),
+    ((1, Kind.CALL, "a", State(Algebra.RAM_PI, {})),
+     "(1,call a([]))",
+     (1, "call", "a", (0, ()))),
+)
+
+
+@pytest.mark.parametrize("fields, text, key", PINNED_ACTIONS)
+def test_actions_are_interned_values(fields, text, key):
+    a = InterfaceAction(*fields)
+    thread, kind, method, transferred = fields
+    # a second build from separately built equal fields is the same object
+    again = InterfaceAction(thread, kind, method, copy.deepcopy(transferred))
+    assert again == a and again is a
+    assert hash(a) == hash((a.thread, a.kind, a.method, a.transferred))
+    assert repr(a) == text
+    assert a.sort_key() == key
+    for name in ("thread", "kind", "method", "transferred"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+    assert (a.thread, a.kind, a.method, a.transferred) == fields
+    for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert clone == a and hash(clone) == hash(a)
+    assert a != fields and (a == fields) is False
+
+
+def test_actions_compare_by_value_across_a_cache_clear():
+    fields = (1, Kind.CALL, "push", ram({1: 7}))
+    a = InterfaceAction(*fields)
+    table = {a: "a"}
+    clear_caches()
+    b = InterfaceAction(*fields)
+    assert b is not a
+    assert b == a and a == b and hash(b) == hash(a)
+    assert table[b] == "a"
+    assert InterfaceAction(*fields) is b
+
+
+def test_actions_built_by_racing_threads_are_equal():
+    states = [ram({loc: v}) for loc in (1, 2, 3) for v in (0, 1)]
+    fields = [(t, k, m, s) for t in (1, 2) for k in Kind for m in ("push", "pop")
+              for s in states]
+    built: list[list] = [[] for _ in range(6)]  # more threads than cores
+    start = threading.Barrier(len(built))
+
+    def build(out):
+        start.wait(timeout=30)
+        for _ in range(20):
+            out.append([InterfaceAction(*f) for f in fields])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            clear_caches()
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(old)
+    reference = [InterfaceAction(*f) for f in fields]
+    for out in built:
+        assert len(out) == 100
+        for actions in out:
+            assert actions == reference
+            assert [hash(a) for a in actions] == [hash(f) for f in fields]
+
+
+SMALL = Bounds(star_unroll=1, mgc_iters=1, mgc_threads=2, max_trace_len=8)
+# the corpus pairs of the check_lin tests, each with a small bound and
+# whether its left set is below its right one there
+LEQ_PAIRS = (
+    (corpus.mini_stack, corpus.MINI_INITIAL, corpus.mini_stack, corpus.MINI_INITIAL,
+     SMALL, True),
+    (corpus.mini_stack_slow, corpus.MINI_INITIAL, corpus.mini_stack, corpus.MINI_INITIAL,
+     SMALL, True),
+    (corpus.lock_stack, corpus.LOCK_STACK_INITIAL, corpus.plain_stack, corpus.PLAIN_INITIAL,
+     SMALL, True),
+    (corpus.plain_stack, corpus.PLAIN_INITIAL, corpus.plain_queue, corpus.PLAIN_INITIAL,
+     corpus.SEQUENTIAL_BOUNDS, False),
+)
+
+
+@pytest.mark.parametrize("lib1, initial1, lib2, initial2, bounds, holds", LEQ_PAIRS)
+def test_leq_of_decoded_actions_equals_the_nested_scan(lib1, initial1, lib2, initial2,
+                                                      bounds, holds):
+    # the left set's actions are rebuilt from JSON after the table is
+    # emptied, so they are other objects than the right set's equal ones
+    gamma = corpus.gamma_val()
+    right = interf(lib2(), gamma, initial2, bounds)
+    left = interf(lib1(), gamma, initial1, bounds)
+    text = json.dumps(interface_set_to_json(left))
+    clear_caches()
+    decoded = interface_set_from_json(json.loads(text))
+    assert decoded == left
+    old = {id(a) for e in left.entries for a in e.history}
+    assert old and not any(id(a) in old for e in decoded.entries for a in e.history)
+    report = interface_set_leq(decoded, right)
+    assert report.holds is holds
+    assert report == interface_set_leq_oracle(decoded, right)
+    assert report == interface_set_leq(left, right)
