@@ -33,16 +33,14 @@ Cell = Union[int, tuple[int, Fraction]]
 
 
 def _as_perm(perm: object) -> Fraction:
-    if isinstance(perm, Fraction):
-        f = perm
-    elif isinstance(perm, int):
-        f = Fraction(perm)
-    elif isinstance(perm, str):
-        f = Fraction(perm)
-    else:
+    if not isinstance(perm, (Fraction, int, str)):
         raise TypeError(f"bad permission: {perm!r}")
+    try:
+        f = Fraction(perm)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a fraction: {perm!r}") from None
     if not 0 < f <= 1:
-        raise ValueError(f"permission out of (0,1]: {f}")
+        raise ValueError(f"permission out of (0,1]: {perm}")
     return f
 
 
@@ -225,9 +223,7 @@ def predicate(states: Iterable[State], algebra: Algebra | None = None) -> Predic
 
 def pred_star(p: Predicate, q: Predicate) -> Predicate:
     """Pointwise lift of composition to state sets."""
-    if p.algebra is not q.algebra:
-        raise ValueError("mixed algebras")
-    return Predicate(p.algebra, star_set(p.states, q.states))
+    return Predicate(_require_same_algebra(p, q), star_set(p.states, q.states))
 
 
 def star_set(a: Iterable[State], b: Iterable[State]) -> frozenset[State]:

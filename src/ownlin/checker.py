@@ -166,7 +166,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)
-        denotation_pairs(client_prog, initial, bounds)
+        denotation_pairs(client_prog, initial)
     except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"client: {exc}")
     if not assume_linearizable:
@@ -176,9 +176,9 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
                            f"linearizability hypothesis: {lin.summary}")
     try:
         concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    star_set(initial, initial1), bounds)
+                                    star_set(initial, initial1))
         abstract = denotation_pairs(Program(algebra, library=lib2, client=client, bounds=bounds),
-                                    star_set(initial, initial2), bounds)
+                                    star_set(initial, initial2))
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
     reproducible = {client_of(tau) for _, tau in abstract}
@@ -201,7 +201,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
     try:
         gamma.check_precise(universe)
-        client_pairs = denotation_pairs(client_prog, initial, bounds)
+        client_pairs = denotation_pairs(client_prog, initial)
     except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"client: {exc}")
     if not assume_linearizable:
@@ -211,7 +211,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
                            f"linearizability hypothesis: {lin.summary}")
     try:
         concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    star_set(initial, initial1), bounds)
+                                    star_set(initial, initial1))
     except UnsafeComponentError as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
 

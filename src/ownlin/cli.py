@@ -240,6 +240,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:  # a most general client or a walk as deep as the bounds
+        print("error: the bounds are too large to explore: lower mgc_iters, star_unroll "
+              "or max_trace_len", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from .algebra import (
     StarFn,
     State,
     StateUniverse,
+    _require_same_algebra,
     star,
 )
 
@@ -77,6 +78,9 @@ class Footprint:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Footprint is immutable")
+
+    def __reduce__(self):
+        return (Footprint, (self.algebra, self.entries))
 
     def __eq__(self, other):
         return (
@@ -134,14 +138,8 @@ def delta(s: State) -> Footprint:
         (loc, Full if perm == 1 else (perm, val)) for loc, (val, perm) in s.cells])
 
 
-def _same_algebra(l1: Footprint, l2: Footprint) -> Algebra:
-    if l1.algebra is not l2.algebra:
-        raise ValueError("mixed algebras")
-    return l1.algebra
-
-
 def foot_add(l1: Footprint, l2: Footprint) -> Optional[Footprint]:
-    alg = _same_algebra(l1, l2)
+    alg = _require_same_algebra(l1, l2)
     if alg is Algebra.RAM:
         s1, s2 = set(l1.entries), set(l2.entries)
         if s1 & s2:
@@ -165,7 +163,7 @@ def foot_add(l1: Footprint, l2: Footprint) -> Optional[Footprint]:
 
 def foot_sub(l2: Footprint, l1: Footprint) -> Optional[Footprint]:
     """The footprint ``l`` with ``foot_add(l, l1) == l2``, when it exists."""
-    alg = _same_algebra(l2, l1)
+    alg = _require_same_algebra(l2, l1)
     if alg is Algebra.RAM:
         s1, s2 = set(l1.entries), set(l2.entries)
         if not s1 <= s2:

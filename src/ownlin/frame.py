@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
 from .checker import Status
-from .history import History, InterfaceAction, Kind
+from .history import History, InterfaceAction, Kind, LeqReport, interface_set_leq
 from .lang import Bounds, Library, MethodSpec, TOP, Top, Trace
 from .semantics import (
     HistoryTrie,
@@ -26,7 +26,6 @@ from .semantics import (
     history_of,
     least_library_trace,
 )
-from .history import interface_set_leq, LeqReport
 
 
 def extends(extended: MethodSpec, base: MethodSpec, universe: StateUniverse) -> bool:
@@ -213,7 +212,6 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     gamma_ext.check_precise(universe)
     ext_ok = extends(gamma_ext, gamma, universe)
 
-    safety = []
     histories: dict[str, Optional[dict[State, HistoryTrie]]] = {}
     checks = [
         ("lib1:base", lib1, gamma, initial1),
@@ -224,16 +222,14 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     for label, lib, g, states in checks:
         try:
             histories[label] = _histories_by_state(lib, g, states, bounds)
-            safety.append((label, True))
         except UnsafeComponentError:
             histories[label] = None
-            safety.append((label, False))
+    safety = tuple((label, hs is not None) for label, hs in histories.items())
     interfs = {label: None if hs is None else _interface_set_of(hs)
                for label, hs in histories.items()}
 
-    hyp4_witness = None
-    hyp4_ok = False
-    if safety[2][1]:
+    hyp4_witness, hyp4_ok = None, False
+    if histories["lib1:extended"] is not None:
         # the preservation fold reads the history tries of lib1's extended walk
         hyp4_witness = _preservation_witness(
             lib1, gamma, gamma_ext, initial1, initial_extra, bounds,
@@ -260,5 +256,5 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     else:
         status = Status.HOLDS_AT_BOUNDS
 
-    return FrameReport(status, ext_ok, tuple(safety), hyp4_ok, hyp4_witness,
+    return FrameReport(status, ext_ok, safety, hyp4_ok, hyp4_witness,
                        base_lin, direct)

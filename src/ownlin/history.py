@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .algebra import State
+from .algebra import State, _require_same_algebra
 from .footprint import Footprint, delta, foot_add, foot_leq, foot_sub
 
 
@@ -165,8 +165,8 @@ class LinWitness:
     mapping: tuple[int, ...]
 
 
-def linearized_by(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
-                  *, pin: int = 0) -> Optional[LinWitness]:
+def linearized_by(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction]
+                  ) -> Optional[LinWitness]:
     """The linearization witness of ``h`` by ``h2``, or ``None``.
 
     An action names its thread and all the state it transfers, so equal
@@ -174,12 +174,11 @@ def linearized_by(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
     occurrence of an action in ``h`` can only map to its k-th occurrence in
     ``h2``.  That forced mapping is the only candidate, so a witness, when
     one exists, is unique, and ``check_witness`` decides whether it is one.
-    ``pin`` asks for a witness that is the identity on the first ``pin``
-    indices, which the forced mapping is exactly when the histories agree
+    Where the two histories agree on a prefix, the witness is the identity
     there.
     """
     n = len(h)
-    if n != len(h2) or tuple(h[:max(pin, 0)]) != tuple(h2[:max(pin, 0)]):
+    if n != len(h2):
         return None
     # the positions of each action in h2, last first, so pop() takes the next
     slots: dict[InterfaceAction, list[int]] = {}
@@ -313,8 +312,8 @@ def interface_set_leq(a: InterfaceSet, b: InterfaceSet) -> LeqReport:
     over different algebras are not comparable (``ValueError``).
     """
     left, right = a.sorted_entries(), b.sorted_entries()
-    if left and right and left[0].initial.algebra is not right[0].initial.algebra:
-        raise ValueError("mixed algebras")
+    if left and right:
+        _require_same_algebra(left[0].initial, right[0].initial)
     buckets: dict[frozenset, list[BalancedHistory]] = {}
     for other in right:
         buckets.setdefault(_multiset(other.history), []).append(other)

@@ -31,7 +31,7 @@ from .history import (
     is_balanced,
     linearized_by,
 )
-from .lang import Bounds, ClientProgram, Library, MethodSpec, Trace
+from .lang import Bounds, ClientProgram, Library, MethodSpec, Trace, is_interface
 from .semantics import client_trace_member, equivalence_key, history_of, library_trace_member
 
 
@@ -75,10 +75,6 @@ def _swapped(trace: Trace, i: int) -> Trace:
     return trace[:i] + (trace[i + 1], trace[i]) + trace[i + 2:]
 
 
-def _is_iact(a) -> bool:
-    return isinstance(a, InterfaceAction)
-
-
 def _late(early: Kind) -> Kind:
     return Kind.RET if early is Kind.CALL else Kind.CALL
 
@@ -91,8 +87,8 @@ def _swap_rule(early: Kind, a, b, swapped_history, initial: Footprint) -> Option
     anything, past an action of the other kind only when the swapped history
     stays balanced; an action of the other kind may move later past anything."""
     late = _late(early)
-    a_late = _is_iact(a) and a.kind is late
-    b_early = _is_iact(b) and b.kind is early
+    a_late = is_interface(a) and a.kind is late
+    b_early = is_interface(b) and b.kind is early
     if not a_late and b_early:
         return f"non-{late.value}-before-{early.value}"
     if a_late and b_early:
@@ -126,7 +122,7 @@ def try_swap(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
 
 
 def _interface_positions(trace: Trace) -> list[int]:
-    return [i for i, a in enumerate(trace) if _is_iact(a)]
+    return [i for i, a in enumerate(trace) if is_interface(a)]
 
 
 def rearrange(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
@@ -145,10 +141,11 @@ def rearrange(lib: Library, gamma: MethodSpec, sigma0: State, trace: Trace,
         raise ValueError("target history not balanced from its initial footprint")
     if not foot_leq(delta(sigma0), target_initial):
         raise ValueError("trace-side initial footprint must be below the target's")
-    if linearized_by(H, history_of(trace)) is None:
+    w = linearized_by(H, history_of(trace))
+    if w is None:
         raise ValueError("target history is not linearized by the trace's history")
     return _align(Kind.CALL, lambda tau: library_trace_member(lib, gamma, sigma0, tau, bounds),
-                  trace, H, delta(sigma0))
+                  trace, H, w, delta(sigma0))
 
 
 def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
@@ -162,39 +159,34 @@ def client_rearrange(client: ClientProgram, gamma: MethodSpec, sigma: State,
     what the interface-set abstraction argument needs.
     """
     H = tuple(target_history)
-    if linearized_by(history_of(trace), H) is None:
+    w = linearized_by(history_of(trace), H)
+    if w is None:
         raise ValueError("trace history is not linearized by the target history")
     return _align(Kind.RET, lambda tau: client_trace_member(client, gamma, sigma, tau, bounds),
-                  trace, H, delta(sigma))
+                  trace, H, w, delta(sigma))
 
 
 _WORD = {Kind.CALL: "call", Kind.RET: "return"}
 
 
 def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: History,
-           initial: Footprint) -> tuple[Trace, RearrangeLog]:
+           w: LinWitness, initial: Footprint) -> tuple[Trace, RearrangeLog]:
     """Bring the target's actions into place one stage at a time.
 
-    Stage ``k`` takes the trace action that a pinned linearization witness
-    matches to ``H[k]``.  An ``early`` action slides left past the actions
-    before it; otherwise the blocking ``late`` actions, leftmost first, are
-    pushed right past it.  ``member`` decides membership in the side's local
-    denotation and re-verifies every swap; ``initial`` is the side's own
-    footprint, which gains state at ``early`` actions.  Each balanced swap is
-    checked to commute, and each stage to leave the target's prefix in place
-    with a witness for the rest.
+    Stage ``k`` takes the trace action that the witness ``w`` matches to
+    ``H[k]``; the caller's precondition finds stage 0's, each stage's
+    after-check the next one's.  An ``early`` action slides left past the
+    actions before it; otherwise the blocking ``late`` actions, leftmost
+    first, are pushed right past it.  ``member`` decides membership in the
+    side's local denotation and re-verifies every swap; ``initial`` is the
+    side's own footprint, which gains state at ``early`` actions.  Each
+    balanced swap is checked to commute, and each stage to leave the
+    target's prefix in place with a witness for the rest.
     """
     late = _late(early)
     side = "library" if early is Kind.CALL else "client"
     if not member(trace):
         raise ValueError(f"trace is not in the {side}-local denotation")
-
-    def witness(h: History, pin: int) -> Optional[LinWitness]:
-        # the library trace's history linearizes the target; on the client
-        # side the target linearizes the trace's history
-        if early is Kind.CALL:
-            return linearized_by(H, h, pin=pin)
-        return linearized_by(h, H, pin=pin)
 
     def do_swap(cur: Trace, pos: int, rule: str, swaps: list[SwapStep]) -> Trace:
         out = _swapped(cur, pos)
@@ -207,9 +199,6 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
     cur = trace
     stages: list[StageRecord] = []
     for k in range(len(H)):
-        w = witness(history_of(cur), k)
-        if w is None:
-            raise ConflictError(f"linearization witness lost at stage {k}")
         swaps: list[SwapStep] = []
         positions = _interface_positions(cur)
         p = positions[w.mapping[k] if early is Kind.CALL else w.mapping.index(k)]
@@ -239,7 +228,7 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
                     break
                 q = positions[k]
                 blocker = cur[q]
-                if not (_is_iact(blocker) and blocker.kind is late):
+                if not (is_interface(blocker) and blocker.kind is late):
                     raise ConflictError(f"unexpected {_WORD[early]} between matched prefix "
                                         f"and {_WORD[late]} at stage {k}")
                 while q < p:
@@ -255,9 +244,13 @@ def _align(early: Kind, member: Callable[[Trace], bool], trace: Trace, H: Histor
                     q += 1
                 p -= 1  # the matched action shifted left past one blocker
 
-        if history_of(cur)[:k + 1] != H[:k + 1]:
+        h = history_of(cur)
+        if h[:k + 1] != H[:k + 1]:
             raise ConflictError(f"history prefix differs from the target after stage {k}")
-        if witness(history_of(cur), k + 1) is None:
+        # the library trace's history linearizes the target; on the client
+        # side the target linearizes the trace's history
+        w = linearized_by(H, h) if early is Kind.CALL else linearized_by(h, H)
+        if w is None:
             raise ConflictError(f"linearization witness lost after stage {k}")
         stages.append(StageRecord(k, p + 1, tuple(swaps)))
 

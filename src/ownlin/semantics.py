@@ -283,9 +283,8 @@ def clear_caches() -> None:
     _ACTIONS.clear()
 
 
-def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -> Denotation:
-    bounds = bounds or program.bounds
-    kind = program.kind
+def eval_program(program: Program, sigma: State) -> Denotation:
+    kind, bounds = program.kind, program.bounds
     if kind == "complete":
         return denote_complete(program.library, program.client, sigma, bounds)
     if kind == "library":
@@ -293,12 +292,11 @@ def eval_program(program: Program, sigma: State, bounds: Bounds | None = None) -
     return denote_client(program.client, program.gamma, sigma, bounds)
 
 
-def denotation_pairs(program: Program, states: Iterable[State],
-                     bounds: Bounds | None = None) -> frozenset[tuple[State, Trace]]:
-    """The (initial state, annotated trace) pairs over a set of initial states."""
+def denotation_pairs(program: Program, states: Iterable[State]) -> frozenset[tuple[State, Trace]]:
+    """The (initial state, annotated trace) pairs from each of ``states``."""
     out = set()
     for s in sorted(states, key=State.sort_key):
-        d = eval_program(program, s, bounds)
+        d = eval_program(program, s)
         if d.faulted:
             raise UnsafeComponentError(f"component faults at {s!r}", d.fault_trace)
         out.update((s, t) for t in d.traces)
@@ -457,31 +455,27 @@ def interf(lib: Library, gamma: MethodSpec, initial: Iterable[State],
     return _interface_set_of(_histories_by_state(lib, gamma, initial, bounds))
 
 
-def _prefix_in_trie(trie: _Trie, tau: Trace) -> bool:
-    node = trie
-    for a in tau:
-        node = node.children.get(a)
-        if node is None:
-            return False
-    return True
-
-
 def _trace_member(mode: Mode, tries: tuple[_Trie, ...], sigma: State, tau: Trace,
                   bounds: Bounds) -> bool:
-    """Annotated-trace membership in a local denotation, decided by structural
-    membership of the ground trace plus re-evaluation."""
+    """Annotated-trace membership in a local denotation, defined for a
+    component safe from ``sigma``: the trace is followed through its threads'
+    tries, one ``eval_action`` per step, keeping the one successor annotated
+    as its action, so a fault on another branch goes unseen."""
     if len(tau) > bounds.max_trace_len:
         return False
-    g = ground(tau)
-    for t in {a.thread for a in g}:
-        if not 1 <= t <= len(tries):
+    nodes, st = list(tries), sigma
+    for a in tau:
+        g = ground_action(a)
+        if not 1 <= g.thread <= len(nodes):
             return False
-        if not _prefix_in_trie(tries[t - 1], tuple(a for a in g if a.thread == t)):
+        node = nodes[g.thread - 1].children.get(g)
+        if node is None or (r := eval_action(mode, g, st)) is TOP:
             return False
-    r = eval_trace(mode, g, sigma)
-    if r.faulted:
-        return False
-    return any(ann == tau for _, ann in r.outcomes)
+        st = next((s2 for s2, a2 in r if a2 == a), None)
+        if st is None:
+            return False
+        nodes[g.thread - 1] = node
+    return True
 
 
 def library_trace_member(lib: Library, gamma: MethodSpec, sigma0: State,
@@ -527,8 +521,8 @@ def compose_decompose_check(client: ClientProgram, lib: Library, gamma: MethodSp
     gamma_client = Program(next(iter(initial_client)).algebra, client=client,
                            gamma=gamma, bounds=bounds)
     lib_prog = Program(gamma_client.algebra, library=lib, gamma=gamma, bounds=bounds)
-    X = denotation_pairs(gamma_client, initial_client, bounds)
-    Y = denotation_pairs(lib_prog, initial_lib, bounds)
+    X = denotation_pairs(gamma_client, initial_client)
+    Y = denotation_pairs(lib_prog, initial_lib)
     if library_transform is not None:
         Y = frozenset(library_transform(Y))
 

@@ -18,6 +18,7 @@ from .algebra import (
     Predicate,
     State,
     StateUniverse,
+    _as_perm,
     predicate,
 )
 from .footprint import Footprint, Full
@@ -79,12 +80,9 @@ def _permission(value, field: str) -> Fraction:
         raise ValueError(f"{field}: expected a permission string or integer, "
                          f"got {type(value).__name__}")
     try:
-        perm = Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{field}: not a fraction: {value!r}") from None
-    if not 0 < perm <= 1:
-        raise ValueError(f"{field}: permission out of (0,1]: {value}")
-    return perm
+        return _as_perm(value)
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
 
 
 def state_to_json(s: State) -> dict:

@@ -71,6 +71,7 @@ from ownlin.semantics import (
     denotation_pairs,
     denote_complete,
     denote_library,
+    eval_trace,
     ground,
     history_of,
     trace_sort_key,
@@ -196,9 +197,9 @@ def compose_decompose_oracle(client, lib, gamma, initial_client, initial_lib, bo
     the trace's initial state."""
     algebra = next(iter(initial_client)).algebra
     X = denotation_pairs(Program(algebra, client=client, gamma=gamma, bounds=bounds),
-                         initial_client, bounds)
+                         initial_client)
     Y = denotation_pairs(Program(algebra, library=lib, gamma=gamma, bounds=bounds),
-                         initial_lib, bounds)
+                         initial_lib)
     if library_transform is not None:
         Y = frozenset(library_transform(Y))
     rec = Recorder()
@@ -317,6 +318,36 @@ def rearrange_source_oracle(lib, gamma, initial, target_initial, target_history,
         if found:
             return sigma0, min(found, key=trace_sort_key)
     return None
+
+
+def _prefix_in_trie(trie: _Trie, tau: Trace) -> bool:
+    node = trie
+    for a in tau:
+        node = node.children.get(a)
+        if node is None:
+            return False
+    return True
+
+
+def two_phase_trace_member(mode, tries, sigma, tau, bounds) -> bool:
+    """Annotated-trace membership in two phases, the way ``_trace_member``
+    decided it before it followed the trace: each thread's projection of the
+    ground trace is a path of its trie, and ``eval_trace`` of the whole
+    ground trace, every branch at once, neither faults nor misses ``tau``.
+    It differs from the one-path walk only where a branch that ``tau`` does
+    not take faults, so only on a component unsafe from ``sigma``."""
+    if len(tau) > bounds.max_trace_len:
+        return False
+    g = ground(tau)
+    for t in {a.thread for a in g}:
+        if not 1 <= t <= len(tries):
+            return False
+        if not _prefix_in_trie(tries[t - 1], tuple(a for a in g if a.thread == t)):
+            return False
+    r = eval_trace(mode, g, sigma)
+    if r.faulted:
+        return False
+    return any(ann == tau for _, ann in r.outcomes)
 
 
 def interf_oracle(lib, gamma, initial, bounds):

@@ -16,6 +16,7 @@ from ownlin import (
     state_sub,
 )
 from ownlin.algebra import State
+from ownlin.footprint import Full, foot_add, foot_sub, ram_foot, ram_pi_foot
 from ownlin.lang import TOP, prim_step, store
 
 from helpers import state_sub_oracle
@@ -53,6 +54,17 @@ def test_star_mixed_algebras_rejected():
 def test_mixed_algebras_message_spells_the_values():
     with pytest.raises(ValueError) as exc:
         state_sub(ram({1: 0}), ram_pi({1: (0, 1)}))
+    assert str(exc.value) == "mixed algebras: ram vs ram_pi"
+
+
+@pytest.mark.parametrize("op, left, right", [
+    (foot_add, ram_foot([1]), ram_pi_foot({1: Full})),
+    (foot_sub, ram_foot([1]), ram_pi_foot({1: Full})),
+    (pred_star, predicate([ram({1: 0})]), predicate([ram_pi({2: (0, 1)})])),
+], ids=["foot_add", "foot_sub", "pred_star"])
+def test_every_mixed_algebra_check_spells_the_values(op, left, right):
+    with pytest.raises(ValueError) as exc:
+        op(left, right)
     assert str(exc.value) == "mixed algebras: ram vs ram_pi"
 
 

@@ -188,12 +188,12 @@ def test_abstraction_check_spec_agrees_with_nested_loop_oracle(bounds):
     pruned = interface_set(e for e in own.entries
                            if not any(a.kind is Kind.RET for a in e.history))
     client_pairs = denotation_pairs(Program(Algebra.RAM, client=client, gamma=GAMMA,
-                                            bounds=bounds), initial, bounds)
+                                            bounds=bounds), initial)
     verdicts = set()
     for lib, hset in ((corpus.mini_stack(), own), (corpus.mini_stack_slow(), pruned)):
         concrete = denotation_pairs(Program(Algebra.RAM, library=lib, client=client,
                                             bounds=bounds),
-                                    star_set(initial, corpus.MINI_INITIAL), bounds)
+                                    star_set(initial, corpus.MINI_INITIAL))
         misses = abstraction_spec_misses_oracle(client_pairs, concrete, hset)
         v = abstraction_check_spec(client, GAMMA, initial, lib, corpus.MINI_INITIAL, hset,
                                    bounds, UNIVERSE, assume_linearizable=True)

@@ -7,22 +7,25 @@ evaluated node by node, the construction the engine replaces.
 """
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import interf_oracle
+from helpers import interf_oracle, two_phase_trace_member
 from ownlin import corpus, ram, ram_pi, semantics, star
-from ownlin.algebra import ParamPredicate
+from ownlin.algebra import Algebra, ParamPredicate, State
 from ownlin.footprint import delta
-from ownlin.history import BalancedHistory, InterfaceAction, call, interface_set, ret
+from ownlin.history import BalancedHistory, InterfaceAction, Kind, call, interface_set, ret
 from ownlin.lang import (
     TID,
     TOP,
     Bounds,
+    CmdAction,
     Deref,
     IntLit,
     Not,
+    PlainCall,
     Prim,
     _Trie,
     client_trace_set,
@@ -42,6 +45,7 @@ from ownlin.semantics import (
     _interface_set_of,
     _mgc_tries,
     _thread_tries,
+    _trace_member,
     _walk,
     clear_caches,
     denote_client,
@@ -454,3 +458,85 @@ def test_trie_entries_raise_what_the_constructor_raises(sigma, h, error):
     with pytest.raises(ValueError) as folded:
         _interface_set_of({sigma: trie})
     assert str(folded.value) == str(constructed.value)
+
+
+def _on_thread(a, t):
+    """``a`` as an action of thread ``t``."""
+    if isinstance(a, CmdAction):
+        return CmdAction(t, a.command)
+    return InterfaceAction(t, a.kind, a.method, a.transferred)
+
+
+def _membership_mutants(rng, tau, annotations, cap, threads):
+    """One mutant of ``tau`` of each kind that applies, at a random position:
+    an adjacent swap, a dropped action, a foreign annotation (another piece
+    the walk transferred at that kind of action, else a cell no contract
+    names), a trace over the cap, an action of thread 0 or of a thread past
+    the last of ``threads``, and a plain call in place of an annotated one."""
+    def at(i, a):
+        return tau[:i] + (a,) + tau[i + 1:]
+
+    n = len(tau)
+    if not n:
+        return
+    i = rng.randrange(n)
+    yield tau[:i] + tau[i + 1:]
+    yield (tau * (cap + 1))[:cap + 1]
+    yield at(i, _on_thread(tau[i], 0))
+    yield at(i, _on_thread(tau[i], threads + 1))
+    if n > 1:
+        j = rng.randrange(n - 1)
+        yield tau[:j] + (tau[j + 1], tau[j]) + tau[j + 2:]
+    interface = [k for k, a in enumerate(tau) if isinstance(a, InterfaceAction)]
+    if interface:
+        a = tau[k := rng.choice(interface)]
+        foreign = State(a.transferred.algebra,
+                        {9: 9 if a.transferred.algebra is Algebra.RAM else (9, 1)})
+        others = sorted(annotations[a.kind, a.method] - {a.transferred}, key=State.sort_key)
+        yield at(k, InterfaceAction(a.thread, a.kind, a.method,
+                                    rng.choice(others) if others else foreign))
+    calls = [k for k in interface if tau[k].kind is Kind.CALL]
+    if calls:
+        k = rng.choice(calls)
+        yield at(k, PlainCall(tau[k].thread, tau[k].method))
+
+
+def _check_membership(mode, tries, sigma, traces, bounds, rng):
+    """Both membership checks accept every trace of the denotation ``traces``
+    and agree with it on each mutant of a sample of them; the mutants give
+    both answers."""
+    for tau in traces:
+        assert _trace_member(mode, tries, sigma, tau, bounds)
+        assert two_phase_trace_member(mode, tries, sigma, tau, bounds)
+    annotations = {}
+    for tau in traces:
+        for a in tau:
+            if isinstance(a, InterfaceAction):
+                annotations.setdefault((a.kind, a.method), set()).add(a.transferred)
+    ordered = sorted(traces, key=trace_sort_key)
+    answers = set()
+    for tau in rng.sample(ordered, min(len(ordered), 150)):
+        for mutant in _membership_mutants(rng, tau, annotations, bounds.max_trace_len,
+                                          len(tries)):
+            got = _trace_member(mode, tries, sigma, mutant, bounds)
+            assert got == two_phase_trace_member(mode, tries, sigma, mutant, bounds), mutant
+            assert got == (mutant in traces)
+            answers.add(got)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+@pytest.mark.parametrize("name,lib,gamma,initial", LIBRARIES, ids=_ids(LIBRARIES))
+def test_library_membership_agrees_with_the_two_phase_check(name, lib, gamma, initial, bounds):
+    rng = random.Random(f"{name} {bounds}")
+    for sigma in sorted(initial, key=State.sort_key):
+        _check_membership(LibraryLocal(gamma), _mgc_tries(lib, bounds), sigma,
+                          denote_library(lib, gamma, sigma, bounds).traces, bounds, rng)
+
+
+@pytest.mark.parametrize("bounds", BOUNDS, ids=str)
+def test_client_membership_agrees_with_the_two_phase_check(bounds):
+    client, sigma = corpus.push_pop_client(), next(iter(corpus.CLIENT_INITIAL))
+    _check_membership(ClientLocal(GAMMA), _thread_tries(client, None, bounds), sigma,
+                      denote_client(client, GAMMA, sigma, bounds).traces, bounds,
+                      random.Random(str(bounds)))

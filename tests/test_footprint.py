@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from ownlin import (
 )
 from ownlin.algebra import State
 from ownlin.footprint import Footprint, Full
+from ownlin.history import BalancedHistory, call, interface_set, ret
 
 HALF = Fraction(1, 2)
 UNIVERSE = StateUniverse()
@@ -148,3 +151,19 @@ def test_trusted_footprints_equal_validated_footprints(algebra):
                     _assert_rebuilds(r)
                     defined[name] += 1
     assert all(defined.values()), defined
+
+
+_FEET = (ram_foot([1, 3]), ram_foot(), ram_pi_foot({1: Full, 2: (HALF, 7)}))
+_ENTRY = BalancedHistory(ram_foot([1]), (call(1, "m", ram({2: 0})), ret(1, "m", ram({1: 5}))))
+
+
+@pytest.mark.parametrize("value", _FEET + (_ENTRY, interface_set([_ENTRY])),
+                         ids=["ram", "ram-empty", "ram_pi", "balanced-history", "interface-set"])
+@pytest.mark.parametrize("round_trip", [lambda v: pickle.loads(pickle.dumps(v)),
+                                        copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_footprints_and_what_holds_them_round_trip(value, round_trip):
+    # a footprint is rebuilt through its checking constructor
+    got = round_trip(value)
+    assert got == value and hash(got) == hash(value) and repr(got) == repr(value)
+    assert getattr(got, "sort_key", lambda: None)() == getattr(value, "sort_key", lambda: None)()

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import os
 import random
 import subprocess
@@ -213,16 +214,57 @@ def test_client_rearrange_uses_the_mirrored_rules():
     assert rules == CLIENT_RULES
 
 
-# Loses the witness once the first stage is done, which only the re-check
-# after that stage can notice when the history has one action.
+def test_each_stage_searches_for_its_witness_once(library_traces_by_history, monkeypatch):
+    # the precondition's search gives stage 0 its witness and each stage's
+    # after-check the next one's: one search per stage, plus the entry check
+    calls = []
+
+    def counted(h, h2):
+        calls.append(h)
+        return linearized_by(h, h2)
+
+    # the package exports a function named like the module
+    monkeypatch.setattr(importlib.import_module("ownlin.rearrange"), "linearized_by", counted)
+    sigma0, by_hist = library_traces_by_history(corpus.plain_stack(), corpus.PLAIN_INITIAL)
+    rng = random.Random(3)
+    runs = []
+    for h2 in sorted(by_hist, key=lambda h: (-len(h), repr(h)))[:40]:
+        target = delinearize(rng, h2, 3)
+        if target in by_hist:
+            calls.clear()
+            _, log = rearrange(corpus.plain_stack(), GAMMA, sigma0, max(by_hist[h2], key=len),
+                               target, delta(sigma0), BOUNDS)
+            runs.append((len(calls), len(target) + 1, any(s.swaps for s in log.stages)))
+    client = corpus.push_pop_client()
+    sigma = next(iter(corpus.CLIENT_INITIAL))
+    kappas = {}
+    for kappa in denote_client(client, GAMMA, sigma, BOUNDS).traces:
+        kappas.setdefault(history_of(kappa), kappa)
+    for src in sorted(kappas, key=lambda h: (-len(h), repr(h)))[:40]:
+        for target in sorted(kappas, key=repr):
+            if len(target) == len(src) and linearized_by(src, target) is not None:
+                calls.clear()
+                _, log = client_rearrange(client, GAMMA, sigma, kappas[src], target, BOUNDS)
+                runs.append((len(calls), len(target) + 1, any(s.swaps for s in log.stages)))
+    assert all(got == want for got, want, _ in runs)
+    assert {swapped for _, _, swapped in runs} == {True, False}
+
+
+# Loses the witness from the second search on: the precondition's search
+# finds stage 0's, so only the re-check after that stage can notice.
 _STRIPPED_ASSERTS = """
 import importlib
 from ownlin import corpus, delta
 from ownlin.semantics import denote_client, denote_library, history_of
 
 r = importlib.import_module("ownlin.rearrange")  # the package exports a function of that name
-real = r.linearized_by
-r.linearized_by = lambda h, h2, pin=0: real(h, h2, pin=pin) if pin == 0 else None
+real, calls = r.linearized_by, []
+
+def first_only(h, h2):
+    calls.append(h)
+    return real(h, h2) if len(calls) == 1 else None
+
+r.linearized_by = first_only
 g, b = corpus.gamma_val(), corpus.DEFAULT_BOUNDS
 
 def one_action(d):
@@ -234,6 +276,7 @@ tau = one_action(denote_library(lib, g, sigma0, b))
 kappa = one_action(denote_client(client, g, sigma, b))
 for run in (lambda: r.rearrange(lib, g, sigma0, tau, history_of(tau), delta(sigma0), b),
             lambda: r.client_rearrange(client, g, sigma, kappa, history_of(kappa), b)):
+    calls.clear()
     try:
         run()
         print("no error")

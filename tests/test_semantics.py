@@ -36,6 +36,7 @@ from ownlin.lang import (
     store,
 )
 from ownlin.semantics import (
+    _mgc_tries,
     all_covers,
     client_of,
     denote_client,
@@ -53,6 +54,7 @@ from helpers import (
     equivalent_oracle,
     extra_cell,
     lib_of,
+    two_phase_trace_member,
 )
 
 THREADS = (1, 2)
@@ -342,3 +344,22 @@ def test_library_trace_member():
     wrong = (InterfaceAction(1, Kind.CALL, "nop", ram({3: 3})),)
     assert not library_trace_member(lib, g, ram({}), wrong, b)
     assert not library_trace_member(lib, g, ram({}), tau + tau, b)
+
+
+def test_membership_follows_only_the_branch_the_trace_takes():
+    # the call may bring in cell 1 or cell 2, and the method stores to cell 1:
+    # the library is unsafe, since the branch that brought in cell 2 faults.
+    # Membership is defined for components safe from the state; on this one
+    # the trace of the safe branch is a member, though evaluating every
+    # branch of its ground trace at once meets the fault
+    pieces = ParamPredicate.from_fn(lambda t: [ram({1: 0}), ram({2: 0})], (1,))
+    gamma = method_spec({"m": (pieces, pieces)})
+    lib = library({"m": Prim(store(1, 5))})
+    b = Bounds(0, 1, 1, 4)
+    tau = (InterfaceAction(1, Kind.CALL, "m", ram({1: 0})), CmdAction(1, store(1, 5)))
+    with pytest.raises(UnsafeComponentError):
+        interf(lib, gamma, [ram({})], b)
+    assert library_trace_member(lib, gamma, ram({}), tau, b)
+    assert not two_phase_trace_member(LibraryLocal(gamma), _mgc_tries(lib, b), ram({}), tau, b)
+    faulting = (InterfaceAction(1, Kind.CALL, "m", ram({2: 0})), CmdAction(1, store(1, 5)))
+    assert not library_trace_member(lib, gamma, ram({}), faulting, b)

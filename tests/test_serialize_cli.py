@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 from ownlin import Algebra, corpus, delta, ram, ram_pi
+from ownlin.algebra import ParamPredicate
 from ownlin.checker import Status, check_lin_code
 from ownlin.cli import main
 from ownlin.footprint import Full, ram_foot, ram_pi_foot
 from ownlin.history import BalancedHistory, call, interface_set, ret
-from ownlin.lang import Bounds, Program, library, method_spec
+from ownlin.lang import SKIP, Bounds, Prim, Program, library, method_spec
 from ownlin.semantics import _history_trie, history_of, interf
 from ownlin import serialize
 
@@ -456,6 +457,22 @@ def test_cli_degenerate_bound_in_a_program_file(corpus_files, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "holds-at-bounds" not in captured.out
     assert "error: bound max_trace_len must be at least 0, got -3" in captured.err
+
+
+@pytest.mark.parametrize("mgc_iters", [1200, 400])
+def test_cli_bounds_too_large_to_explore(tmp_path, mgc_iters, capsys):
+    # one method that skips, called mgc_iters times: hashing the most general
+    # client's nested sequence overflows the stack at 1200, the walk at 400
+    skip_all = method_spec({"m": (ParamPredicate.from_fn(lambda t: [ram({})], (1,)),) * 2})
+    prog = Program(Algebra.RAM, library=library({"m": Prim(SKIP)}), gamma=skip_all,
+                   initial=frozenset({ram({})}), bounds=Bounds(0, mgc_iters, 1, 4000))
+    path = tmp_path / "deep.json"
+    serialize.dump_json(serialize.program_to_json(prog), str(path))
+    assert main(["check-lin", str(path), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the bounds are too large to explore: lower mgc_iters, "
+                            "star_unroll or max_trace_len\n")
 
 
 def test_cli_ram_pi_cell_that_is_not_a_pair(corpus_files, tmp_path, capsys):
