@@ -68,7 +68,9 @@ class State:
                 norm.append((loc, payload))
             else:
                 val, perm = payload  # type: ignore[misc]
-                norm.append((loc, (int(val), _as_perm(perm))))
+                if not isinstance(val, int):
+                    raise TypeError(f"RAM_PI cell wants an int value, got {val!r}")
+                norm.append((loc, (val, _as_perm(perm))))
         norm.sort()
         self._set(algebra, tuple(norm))
 

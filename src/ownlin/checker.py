@@ -179,7 +179,7 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
                                     star_set(initial, initial1))
         abstract = denotation_pairs(Program(algebra, library=lib2, client=client, bounds=bounds),
                                     star_set(initial, initial2))
-    except UnsafeComponentError as exc:
+    except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
     reproducible = {client_of(tau) for _, tau in abstract}
     return _containment_verdict(concrete, lambda t: t in reproducible)
@@ -212,7 +212,7 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     try:
         concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
                                     star_set(initial, initial1))
-    except UnsafeComponentError as exc:
+    except (UnsafeComponentError, ValueError) as exc:
         return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
 
     entries_by_history = _initials_by_history(hset2)

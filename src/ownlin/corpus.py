@@ -57,26 +57,25 @@ CORPUS_UNIVERSE = StateUniverse(locations=(1, 2, 7), values=(0, 1, 7, 8),
                                 threads=ARG_THREADS)
 
 
-def gamma_val(threads: tuple[int, ...] = ARG_THREADS) -> MethodSpec:
+def gamma_val() -> MethodSpec:
     """Value-passing contract: only the argument cell crosses the boundary."""
     push_pre = ParamPredicate.from_fn(
-        lambda t: [ram({t: v}) for v in PTR_VALUES], threads)
-    push_post = ParamPredicate.from_fn(lambda t: [ram({t: ACK})], threads)
-    pop_pre = ParamPredicate.from_fn(lambda t: [ram({t: 0})], threads)
+        lambda t: [ram({t: v}) for v in PTR_VALUES], ARG_THREADS)
+    push_post = ParamPredicate.from_fn(lambda t: [ram({t: ACK})], ARG_THREADS)
+    pop_pre = ParamPredicate.from_fn(lambda t: [ram({t: 0})], ARG_THREADS)
     pop_post = ParamPredicate.from_fn(
-        lambda t: [ram({t: EMPTY})] + [ram({t: v}) for v in PTR_VALUES], threads)
+        lambda t: [ram({t: EMPTY})] + [ram({t: v}) for v in PTR_VALUES], ARG_THREADS)
     return method_spec({"push": (push_pre, push_post), "pop": (pop_pre, pop_post)})
 
 
-def gamma_obj(threads: tuple[int, ...] = ARG_THREADS) -> MethodSpec:
+def gamma_obj() -> MethodSpec:
     """Ownership contract: pushing pointer 7 also transfers the object at 7."""
     push_pre = ParamPredicate.from_fn(
-        lambda t: [ram({t: OBJ, OBJ: v}) for v in (0, 1)], threads)
-    push_post = ParamPredicate.from_fn(lambda t: [ram({t: ACK})], threads)
-    pop_pre = ParamPredicate.from_fn(lambda t: [ram({t: 0})], threads)
+        lambda t: [ram({t: OBJ, OBJ: v}) for v in (0, 1)], ARG_THREADS)
+    push_post = ParamPredicate.from_fn(lambda t: [ram({t: ACK})], ARG_THREADS)
+    pop_pre = ParamPredicate.from_fn(lambda t: [ram({t: 0})], ARG_THREADS)
     pop_post = ParamPredicate.from_fn(
-        lambda t: [ram({t: EMPTY})] + [ram({t: OBJ, OBJ: v}) for v in (0, 1)],
-        threads)
+        lambda t: [ram({t: EMPTY})] + [ram({t: OBJ, OBJ: v}) for v in (0, 1)], ARG_THREADS)
     return method_spec({"push": (push_pre, push_post), "pop": (pop_pre, pop_post)})
 
 
@@ -229,8 +228,8 @@ def trivial_library() -> Library:
     return library({"nop": Prim(assume(1))})
 
 
-def gamma_trivial(threads: tuple[int, ...] = ARG_THREADS) -> MethodSpec:
-    empty_pred = ParamPredicate.from_fn(lambda t: [ram({})], threads)
+def gamma_trivial() -> MethodSpec:
+    empty_pred = ParamPredicate.from_fn(lambda t: [ram({})], ARG_THREADS)
     return method_spec({"nop": (empty_pred, empty_pred)})
 
 
@@ -238,16 +237,16 @@ def one_command_client() -> ClientProgram:
     return ClientProgram((seq(Prim(store(1, 1)), CallMethod("nop")),))
 
 
-def lock_stack_program(gamma: MethodSpec | None = None, bounds: Bounds = DEFAULT_BOUNDS) -> Program:
-    return Program(Algebra.RAM, library=lock_stack(), gamma=gamma or gamma_val(),
-                   initial=LOCK_STACK_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)
+def lock_stack_program() -> Program:
+    return Program(Algebra.RAM, library=lock_stack(), gamma=gamma_val(),
+                   initial=LOCK_STACK_INITIAL, universe=CORPUS_UNIVERSE, bounds=DEFAULT_BOUNDS)
 
 
-def plain_stack_program(gamma: MethodSpec | None = None, bounds: Bounds = DEFAULT_BOUNDS) -> Program:
-    return Program(Algebra.RAM, library=plain_stack(), gamma=gamma or gamma_val(),
-                   initial=PLAIN_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)
+def plain_stack_program() -> Program:
+    return Program(Algebra.RAM, library=plain_stack(), gamma=gamma_val(),
+                   initial=PLAIN_INITIAL, universe=CORPUS_UNIVERSE, bounds=DEFAULT_BOUNDS)
 
 
-def client_program(gamma: MethodSpec | None = None, bounds: Bounds = DEFAULT_BOUNDS) -> Program:
-    return Program(Algebra.RAM, client=push_pop_client(), gamma=gamma or gamma_val(),
-                   initial=CLIENT_INITIAL, universe=CORPUS_UNIVERSE, bounds=bounds)
+def client_program() -> Program:
+    return Program(Algebra.RAM, client=push_pop_client(), gamma=gamma_val(),
+                   initial=CLIENT_INITIAL, universe=CORPUS_UNIVERSE, bounds=DEFAULT_BOUNDS)

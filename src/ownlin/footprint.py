@@ -44,22 +44,15 @@ class Footprint:
                     raise ValueError(f"bad location: {loc!r}")
             norm: tuple = locs
         else:
-            if isinstance(entries, Mapping):
-                items = list(entries.items())
-            else:
-                items = list(entries)  # type: ignore[assignment]
-            cooked = []
-            for loc, payload in items:
-                if payload == Full:
-                    cooked.append((loc, Full))
-                else:
-                    perm, val = payload
-                    perm = Fraction(perm)
-                    if not 0 < perm < 1:
-                        raise ValueError(f"partial permission out of (0,1): {perm}")
-                    cooked.append((loc, (perm, int(val))))
-            cooked.sort(key=lambda e: e[0])
-            norm = tuple(cooked)
+            # the state the entries describe checks their cells: Full is the
+            # cell (0, 1), a partial (perm, val) the cell (val, perm)
+            items = list(entries.items() if isinstance(entries, Mapping) else entries)
+            state = State(algebra, [(loc, (0, 1) if payload == Full else tuple(reversed(payload)))
+                                    for loc, payload in items])  # type: ignore[arg-type]
+            full = {loc for loc, payload in items if payload == Full}
+            norm = delta(state).entries
+            if any(payload == Full and loc not in full for loc, payload in norm):
+                raise ValueError("partial permission out of (0,1): 1")
         self._set(algebra, norm)
 
     def _set(self, algebra: Algebra, entries: tuple) -> None:

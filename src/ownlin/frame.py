@@ -34,8 +34,9 @@ def extends(extended: MethodSpec, base: MethodSpec, universe: StateUniverse) -> 
         raise ValueError("method sets differ")
     for m in base.method_names:
         for t in universe.threads:
-            for ext_pred, base_pred in ((extended.pre(m).for_thread(t), base.pre(m).for_thread(t)),
-                                        (extended.post(m).for_thread(t), base.post(m).for_thread(t))):
+            # both kinds are read first: a thread either contract lacks raises
+            for ext_pred, base_pred in [(extended.transfer(k, m, t), base.transfer(k, m, t))
+                                        for k in Kind]:
                 for sigma in ext_pred.states:
                     if not any(state_sub(sigma, piece) is not None
                                for piece in base_pred.states):
@@ -52,9 +53,7 @@ class SplitViolation(ValueError):
 
 
 def _split(action: InterfaceAction, gamma: MethodSpec) -> tuple[State, State]:
-    pred = (gamma.pre(action.method) if action.kind is Kind.CALL
-            else gamma.post(action.method)).for_thread(action.thread)
-    parts = sub_pred(action.transferred, pred)
+    parts = sub_pred(action.transferred, gamma.transfer(action.kind, action.method, action.thread))
     if parts is None:
         raise SplitViolation(action)
     extra, piece = parts
@@ -89,20 +88,12 @@ def extra_eval(h: Sequence[InterfaceAction], sigma: State) -> State | Top:
     that the library modified; a non-fault means the framed-out state came
     back to the client untouched.
     """
-    result, _ = extra_eval_explain(h, sigma)
-    return result
-
-
-def extra_eval_explain(h: Sequence[InterfaceAction], sigma: State
-                       ) -> tuple[State | Top, Optional[int]]:
-    """Like ``extra_eval`` but also reports the index of the action whose
-    composition or subtraction failed."""
     cur = sigma
-    for i, a in enumerate(h):
+    for a in h:
         cur = _extra_step(cur, a)
         if cur is None:
-            return TOP, i
-    return cur, None
+            return TOP
+    return cur
 
 
 def _extra_step(cur: State, a: InterfaceAction) -> Optional[State]:
@@ -154,7 +145,11 @@ def check_framed_state_preserved(lib: Library, gamma: MethodSpec, gamma_ext: Met
                                  initial_base: Iterable[State], initial_extra: Iterable[State],
                                  bounds: Bounds) -> Optional[Hypothesis4Witness]:
     """Find a library behaviour under the extended contract whose extra-state
-    fold faults, or ``None`` when the framed-out state is always preserved."""
+    fold faults, or ``None`` when the framed-out state is always preserved.
+    An empty ``initial_base`` or ``initial_extra`` raises ``ValueError``: with
+    no combined initial state every fold would pass vacuously."""
+    initial_base = _nonempty("initial_base", initial_base)
+    initial_extra = _nonempty("initial_extra", initial_extra)
     return _preservation_witness(lib, gamma, gamma_ext, initial_base, initial_extra, bounds,
                                  lambda c: _history_trie(lib, gamma_ext, c, bounds,
                                                          " under the extended contract"))
@@ -186,10 +181,10 @@ def _preservation_witness(lib: Library, gamma: MethodSpec, gamma_ext: MethodSpec
                 extras.append(cur)
             if cuts:
                 tau = least_library_trace(lib, gamma_ext, combined, bounds, cuts)
-                # a cut that does not split raises here, as it must
+                # a cut that does not split raises here, as it must; one that
+                # does fails at its last action, its parent having folded
                 ceil = ceil_history(history_of(tau), gamma)
-                _, index = extra_eval_explain(ceil, sigma_extra)
-                return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
+                return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, len(ceil) - 1)
     return None
 
 
@@ -202,8 +197,9 @@ def frame_check(lib1: Library, lib2: Library, gamma: MethodSpec, gamma_ext: Meth
     then cross-check the conclusion by brute force at the same bounds.
 
     All hypotheses are bounded checks; a passing verdict reads
-    "holds-at-bounds", never an unconditional claim.  An imprecise contract
-    and an empty ``initial1`` or ``initial_extra`` raise ``ValueError``.
+    "holds-at-bounds", never an unconditional claim.  An imprecise contract,
+    an empty ``initial1`` or ``initial_extra``, and a universe thread the
+    contract lacks raise ``ValueError``.
     """
     initial1 = _nonempty("initial1", initial1)
     initial2 = frozenset(initial2)

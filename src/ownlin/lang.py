@@ -19,6 +19,7 @@ from .algebra import (
     Recorder,
     LawReport,
     ParamPredicate,
+    Predicate,
     State,
     StateUniverse,
     is_precise,
@@ -346,7 +347,7 @@ class Library:
         for name, cmd in self.methods:
             if name == m:
                 return cmd
-        raise KeyError(m)
+        raise ValueError(f"library has no method {m!r}")
 
     @property
     def method_names(self) -> tuple[str, ...]:
@@ -370,20 +371,26 @@ class MethodSpec:
 
     triples: tuple[tuple[str, ParamPredicate, ParamPredicate], ...]
 
+    def _triple(self, m: str) -> tuple[str, ParamPredicate, ParamPredicate]:
+        for triple in self.triples:
+            if triple[0] == m:
+                return triple
+        raise ValueError(f"method {m!r} not in the specification")
+
     def pre(self, m: str) -> ParamPredicate:
-        for name, p, _ in self.triples:
-            if name == m:
-                return p
-        raise KeyError(m)
+        return self._triple(m)[1]
 
     def post(self, m: str) -> ParamPredicate:
-        for name, _, q in self.triples:
-            if name == m:
-                return q
-        raise KeyError(m)
+        return self._triple(m)[2]
 
-    def __contains__(self, m: str) -> bool:
-        return any(name == m for name, _, _ in self.triples)
+    def transfer(self, kind: Kind, m: str, t: int) -> Predicate:
+        """The states a call (the precondition) or a return (the
+        postcondition) of method ``m`` by thread ``t`` transfers."""
+        _, p, q = self._triple(m)
+        try:
+            return (p if kind is Kind.CALL else q).for_thread(t)
+        except KeyError:
+            raise ValueError(f"the contract of method {m!r} does not cover thread {t}") from None
 
     @property
     def method_names(self) -> tuple[str, ...]:

@@ -92,12 +92,8 @@ def eval_action(mode: Mode, action, s: State):
 
     # the library brings state in at a call and gives it up at a return;
     # the client does the mirror image
-    gamma = mode.gamma
-    if action.method not in gamma:
-        raise KeyError(f"method {action.method!r} not in the specification")
-    call = action.kind is Kind.CALL
-    pred = (gamma.pre if call else gamma.post)(action.method).for_thread(action.thread)
-    if call == isinstance(mode, LibraryLocal):
+    pred = mode.gamma.transfer(action.kind, action.method, action.thread)
+    if (action.kind is Kind.CALL) == isinstance(mode, LibraryLocal):
         return tuple((combined, InterfaceAction(action.thread, action.kind, action.method, piece))
                      for piece in pred.sorted_states()
                      if (combined := star(s, piece)) is not None)
@@ -410,17 +406,11 @@ def all_covers(kappa: Trace, lam: Trace) -> Iterator[Trace]:
 # ---------------------------------------------------------------------------
 
 def _check_contract_covers(lib: Library, gamma: MethodSpec, bounds: Bounds) -> None:
-    """Every library method has a contract for every most-general-client thread."""
+    """Every library method has a contract for every most-general-client
+    thread: ``transfer`` raises ``ValueError`` naming the first gap."""
     for m in lib.method_names:
-        if m not in gamma:
-            raise ValueError(f"method {m!r} not in the specification")
         for t in range(1, bounds.mgc_threads + 1):
-            try:
-                gamma.pre(m).for_thread(t)
-                gamma.post(m).for_thread(t)
-            except KeyError:
-                raise ValueError(
-                    f"the contract of method {m!r} does not cover thread {t}") from None
+            gamma.transfer(Kind.CALL, m, t), gamma.transfer(Kind.RET, m, t)
 
 
 def _histories_by_state(lib: Library, gamma: MethodSpec, initial: Iterable[State],

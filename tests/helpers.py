@@ -20,7 +20,6 @@ from ownlin.frame import (
     SplitViolation,
     ceil_history,
     extra_eval,
-    extra_eval_explain,
 )
 from ownlin.history import (
     BalancedHistory,
@@ -294,7 +293,8 @@ def framed_witness_oracle(lib, gamma, gamma_ext, initial_base, initial_extra, bo
             if failing:
                 tau = min(failing, key=trace_sort_key)
                 ceil = ceil_history(history_of(tau), gamma)
-                _, index = extra_eval_explain(ceil, sigma_extra)
+                index = next(i for i in range(len(ceil))
+                             if extra_eval(ceil[:i + 1], sigma_extra) is TOP)
                 return Hypothesis4Witness(sigma0, sigma_extra, tau, ceil, index)
     return None
 

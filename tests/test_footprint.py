@@ -130,6 +130,26 @@ def test_footprint_validation():
         ram_foot([0])
 
 
+# RAM_PI footprint entries and the state cells they describe, both refused
+_BAD_PI_CELLS = {
+    "location 0": ({0: Full}, {0: (0, 1)}),
+    "location -3": ({-3: (HALF, 0)}, {-3: (0, HALF)}),
+    "location 'a'": ({"a": Full}, {"a": (0, 1)}),
+    "duplicate location": ([(1, Full), (1, (HALF, 0))], [(1, (0, 1)), (1, (0, HALF))]),
+    "float permission": ({1: (0.1, 0)}, {1: (0, 0.1)}),
+    "float value": ({1: (HALF, 0.5)}, {1: (0.5, HALF)}),
+    "string value": ({1: (HALF, "0")}, {1: ("0", HALF)}),
+}
+
+
+@pytest.mark.parametrize("entries, cells", _BAD_PI_CELLS.values(), ids=list(_BAD_PI_CELLS))
+def test_ram_pi_footprint_cells_pass_a_states_checks(entries, cells):
+    with pytest.raises((ValueError, TypeError)):
+        ram_pi_foot(entries)
+    with pytest.raises((ValueError, TypeError)):
+        ram_pi(cells)
+
+
 def _assert_rebuilds(r):
     # a footprint built without the checks equals the one the validating
     # constructor builds from its entries, hash included

@@ -12,7 +12,16 @@ from ownlin.checker import Status, check_lin_code
 from ownlin.cli import main
 from ownlin.footprint import Full, ram_foot, ram_pi_foot
 from ownlin.history import BalancedHistory, call, interface_set, ret
-from ownlin.lang import SKIP, Bounds, Prim, Program, library, method_spec
+from ownlin.lang import (
+    SKIP,
+    Bounds,
+    CallMethod,
+    ClientProgram,
+    Prim,
+    Program,
+    library,
+    method_spec,
+)
 from ownlin.semantics import _history_trie, history_of, interf
 from ownlin import serialize
 
@@ -291,6 +300,60 @@ def test_cli_contract_not_covering_a_thread(corpus_files, tmp_path, capsys):
                  corpus_files["mini"], _extension_file(tmp_path)])
     assert code == 2
     assert "thread 3" in capsys.readouterr().err
+
+
+def _program_file(tmp_path, name, prog) -> str:
+    path = tmp_path / f"{name}.json"
+    serialize.dump_json(serialize.program_to_json(prog), str(path))
+    return str(path)
+
+
+def test_cli_abstraction_client_thread_the_contract_lacks(corpus_files, tmp_path, capsys):
+    client = Program(Algebra.RAM, client=corpus.push_pop_client(3), gamma=corpus.gamma_val(),
+                     initial=frozenset({ram({1: 7, 2: 8, 3: 7})}),
+                     universe=corpus.CORPUS_UNIVERSE, bounds=Bounds(1, 1, 1, 12))
+    code = main(["abstraction", _program_file(tmp_path, "client3", client),
+                 corpus_files["mini_slow"], corpus_files["mini"]])
+    assert code == 2
+    assert capsys.readouterr().out == ("hypothesis-failed: client: the contract of method "
+                                       "'push' does not cover thread 3\n")
+
+
+def test_cli_abstraction_client_call_the_library_lacks(corpus_files, tmp_path, capsys):
+    gamma = corpus.gamma_val()
+    frob = method_spec({**{m: (gamma.pre(m), gamma.post(m)) for m in gamma.method_names},
+                        "frob": (gamma.pre("pop"), gamma.post("pop"))})
+    client = Program(Algebra.RAM, client=ClientProgram((CallMethod("frob"),)), gamma=frob,
+                     initial=frozenset({ram({1: 0})}), universe=corpus.CORPUS_UNIVERSE,
+                     bounds=Bounds(1, 1, 1, 12))
+    code = main(["abstraction", _program_file(tmp_path, "frob", client),
+                 corpus_files["mini_slow"], corpus_files["mini"]])
+    assert code == 2
+    assert capsys.readouterr().out == ("hypothesis-failed: composition unsafe: "
+                                       "library has no method 'frob'\n")
+
+
+def test_cli_frame_check_universe_thread_the_contract_lacks(corpus_files, tmp_path, capsys):
+    universe = tmp_path / "universe.json"
+    serialize.dump_json({"locations": [1, 2, 7], "values": [0, 1, 7, 8],
+                         "threads": [1, 2, 3]}, str(universe))
+    code = main(["--universe", str(universe), "frame-check", corpus_files["mini_slow"],
+                 corpus_files["mini"], _extension_file(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: the contract of method 'pop' does not cover thread 3\n"
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({"1": "full", "01": "full"}, "duplicate location: 1"),
+    ({"0": "full"}, "bad location: 0"),
+], ids=["duplicate", "zero"])
+def test_cli_check_balanced_from_a_footprint_no_state_has(tmp_path, capsys, cells, message):
+    hist, foot = tmp_path / "hist.json", tmp_path / "foot.json"
+    serialize.dump_json([], str(hist))
+    serialize.dump_json({"alg": "ram_pi", "cells": cells}, str(foot))
+    assert main(["check-balanced", str(hist), "--from", str(foot)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 _TARGET_HISTORY = (
