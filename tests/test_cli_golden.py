@@ -33,6 +33,8 @@ GOLDEN = {
     "frame-check-scribbler-json": ["b640ad4cabc0c02b0ecd02798ed3a8af889ff0e1ff1e90ef770d20bf8cf60a58", 2],
     "dump-interf": ["d062c02700c56dcc0fdbd457ff2b892ebb23180366f012bf0f589d47cbc8a92f", 0],
     "rearrange": ["974b17d7b482c201771deff7007af5cfe9bbc024543cc19fc9aa5996a2ebd41d", 0],
+    "abstraction-hypothesis-failed": ["ca01122b3aed33ccc4775cde8bdaa8c83161b472cf98df24421fac4cdb573903", 2],
+    "abstraction-hypothesis-failed-json": ["33ba8a35c57e34a2fdfb937cf0a1d4313295083a5a8da21b7e468c7d9accaabb", 2],
 }
 
 
@@ -43,6 +45,11 @@ def _commands(files, tmp_path) -> dict[str, list[str]]:
         "check-lin-violated": ["--json", "check-lin", files["stack_seq"], files["queue"]],
         "abstraction": ["abstraction", _client_file(tmp_path), files["mini_slow"],
                         files["mini"]],
+        # the sequential stack does not linearize to the queue
+        "abstraction-hypothesis-failed": ["abstraction", _client_file(tmp_path),
+                                          files["stack_seq"], files["queue"]],
+        "abstraction-hypothesis-failed-json": ["--json", "abstraction", _client_file(tmp_path),
+                                               files["stack_seq"], files["queue"]],
         "frame-check": ["frame-check", files["mini_slow"], files["mini"], ext],
         # the scribbler's extra-state fold first fails on a 10-action trace
         "frame-check-scribbler": ["--max-trace", "10", "frame-check", files["scribbler"],
