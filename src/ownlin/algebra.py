@@ -33,7 +33,7 @@ Cell = Union[int, tuple[int, Fraction]]
 
 
 def _as_perm(perm: object) -> Fraction:
-    if not isinstance(perm, (Fraction, int, str)):
+    if type(perm) is bool or not isinstance(perm, (Fraction, int, str)):
         raise TypeError(f"bad permission: {perm!r}")
     try:
         f = Fraction(perm)
@@ -57,18 +57,18 @@ class State:
         norm: list[tuple[int, Cell]] = []
         seen: set[int] = set()
         for loc, payload in items:
-            if not isinstance(loc, int) or loc < 1:
+            if type(loc) is not int or loc < 1:
                 raise ValueError(f"bad location: {loc!r}")
             if loc in seen:
                 raise ValueError(f"duplicate location: {loc}")
             seen.add(loc)
             if algebra is Algebra.RAM:
-                if not isinstance(payload, int):
+                if type(payload) is not int:
                     raise TypeError(f"RAM cell wants an int value, got {payload!r}")
                 norm.append((loc, payload))
             else:
                 val, perm = payload  # type: ignore[misc]
-                if not isinstance(val, int):
+                if type(val) is not int:
                     raise TypeError(f"RAM_PI cell wants an int value, got {val!r}")
                 norm.append((loc, (val, _as_perm(perm))))
         norm.sort()

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .algebra import State, StateUniverse, star_set
+from .algebra import State, StateUniverse, _require_same_algebra, star_set
 from .footprint import Footprint, delta, foot_add, foot_leq
 from .history import History, InterfaceSet, LeqReport, interface_set_leq
 from .lang import Bounds, ClientProgram, Library, MethodSpec, Program, Trace
 from .semantics import (
-    UnsafeComponentError,
     _nonempty,
     client_of,
     denotation_pairs,
@@ -70,16 +69,33 @@ def _leq_lines(report: LeqReport) -> tuple[str, ...]:
     return tuple(lines)
 
 
-def _leq_verdict(report: LeqReport) -> Verdict:
+def _unreproduced(report: LeqReport) -> str:
+    """A failed comparison's summary: how many went unmatched, and the least."""
+    bad = report.failures()
+    return (f"{len(bad)} behaviours not reproduced; "
+            f"first: {bad[0].entry.initial!r} {bad[0].entry.history!r}")
+
+
+def _compare(lib1: Library, gamma: MethodSpec, initial1: frozenset[State],
+             abstract: Callable[[], InterfaceSet], bounds: Bounds) -> LeqReport:
+    """``lib1``'s interface set against the one ``abstract`` builds after it,
+    so that when both sides fault, ``lib1``'s fault is the one reported."""
+    return interface_set_leq(interf(lib1, gamma, initial1, bounds), abstract())
+
+
+def _check_lin(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
+               abstract: Callable[[], InterfaceSet], bounds: Bounds,
+               universe: StateUniverse) -> Verdict:
+    try:
+        initial1 = _nonempty("initial1", initial1)
+        gamma.check_precise(universe)
+        report = _compare(lib1, gamma, initial1, abstract, bounds)
+    except ValueError as exc:
+        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
     if report.holds:
-        return Verdict(Status.HOLDS_AT_BOUNDS,
-                       f"all {len(report.entries)} behaviours reproduced",
+        return Verdict(Status.HOLDS_AT_BOUNDS, f"all {len(report.entries)} behaviours reproduced",
                        _leq_lines(report))
-    bad = report.failures()[0]
-    return Verdict(Status.VIOLATED,
-                   f"{len(report.failures())} behaviours not reproduced; "
-                   f"first: {bad.entry.initial!r} {bad.entry.history!r}",
-                   _leq_lines(report))
+    return Verdict(Status.VIOLATED, _unreproduced(report), _leq_lines(report))
 
 
 def check_lin_code(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
@@ -87,27 +103,15 @@ def check_lin_code(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
                    universe: StateUniverse = StateUniverse()) -> Verdict:
     """Decide whether one library is linearized by another, by comparing the
     interface sets their local semantics generate at the given bounds."""
-    try:
-        initial1 = _nonempty("initial1", initial1)
-        gamma.check_precise(universe)
-        h1 = interf(lib1, gamma, initial1, bounds)
-        h2 = interf(lib2, gamma, initial2, bounds)
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    return _leq_verdict(interface_set_leq(h1, h2))
+    return _check_lin(lib1, gamma, initial1, lambda: interf(lib2, gamma, initial2, bounds),
+                      bounds, universe)
 
 
 def check_lin_interface_set(lib1: Library, gamma: MethodSpec, initial1: Iterable[State],
                             hset2: InterfaceSet, bounds: Bounds,
                             universe: StateUniverse = StateUniverse()) -> Verdict:
     """Decide linearizability of a library against an explicit interface set."""
-    try:
-        initial1 = _nonempty("initial1", initial1)
-        gamma.check_precise(universe)
-        h1 = interf(lib1, gamma, initial1, bounds)
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    return _leq_verdict(interface_set_leq(h1, hset2))
+    return _check_lin(lib1, gamma, initial1, lambda: hset2, bounds, universe)
 
 
 def inclusion_based_leq(h1: InterfaceSet, h2: InterfaceSet) -> bool:
@@ -132,10 +136,33 @@ def _initials_by_history(hset: InterfaceSet) -> dict[History, list[Footprint]]:
     return out
 
 
-def _containment_verdict(concrete, reproduced: Callable[[Trace], bool],
-                         suffix: str = "") -> Verdict:
-    """Holds when ``reproduced`` accepts the client projection of every
-    concrete trace; else violated, naming the least projection it rejects."""
+def _abstraction(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
+                 lib1: Library, initial1: Iterable[State], abstract: Callable[[], InterfaceSet],
+                 bounds: Bounds, universe: StateUniverse, assume_linearizable: bool,
+                 reproducer: Callable[..., Callable[[Trace], bool]], suffix: str) -> Verdict:
+    """Both abstraction checks: once the hypotheses hold, in order, holds when
+    the test ``reproducer(algebra, initial, client_pairs)`` returns accepts the
+    client projection of every concrete trace; else violated, naming the least
+    projection it rejects."""
+    stage = ""  # names the hypothesis that a ValueError fails
+    try:
+        initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
+        algebra = next(iter(initial1)).algebra
+        stage = "client: "
+        gamma.check_precise(universe)
+        client_pairs = denotation_pairs(Program(algebra, client=client, gamma=gamma,
+                                                bounds=bounds), initial)
+        stage = "linearizability hypothesis: "
+        if not assume_linearizable:
+            report = _compare(lib1, gamma, initial1, abstract, bounds)
+            if not report.holds:
+                raise ValueError(_unreproduced(report))
+        stage = "composition unsafe: "
+        concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
+                                    star_set(initial, initial1))
+        reproduced = reproducer(algebra, initial, client_pairs)
+    except ValueError as exc:
+        return Verdict(Status.HYPOTHESIS_FAILED, f"{stage}{exc}")
     misses = sorted((t for t in (client_of(tau) for _, tau in concrete) if not reproduced(t)),
                     key=trace_sort_key)
     if misses:
@@ -158,31 +185,14 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     ``assume_linearizable`` skips the linearizability hypothesis so a harness
     test can feed a known-bad pair and watch the containment check fire.
     """
-    try:
-        initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
-    except ValueError as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    algebra = next(iter(initial1)).algebra
-    client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
-    try:
-        gamma.check_precise(universe)
-        denotation_pairs(client_prog, initial)
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, f"client: {exc}")
-    if not assume_linearizable:
-        lin = check_lin_code(lib1, gamma, initial1, lib2, initial2, bounds, universe)
-        if lin.status is not Status.HOLDS_AT_BOUNDS:
-            return Verdict(Status.HYPOTHESIS_FAILED,
-                           f"linearizability hypothesis: {lin.summary}")
-    try:
-        concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    star_set(initial, initial1))
+    def reproducer(algebra, initial, client_pairs):
         abstract = denotation_pairs(Program(algebra, library=lib2, client=client, bounds=bounds),
                                     star_set(initial, initial2))
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
-    reproducible = {client_of(tau) for _, tau in abstract}
-    return _containment_verdict(concrete, lambda t: t in reproducible)
+        return {client_of(tau) for _, tau in abstract}.__contains__
+
+    return _abstraction(client, gamma, initial, lib1, initial1,
+                        lambda: interf(lib2, gamma, initial2, bounds), bounds, universe,
+                        assume_linearizable, reproducer, "")
 
 
 def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: Iterable[State],
@@ -193,33 +203,16 @@ def abstraction_check_spec(client: ClientProgram, gamma: MethodSpec, initial: It
     """Replace a library by an interface set: every client-observable trace of
     the composition must be equivalent to a client-local trace whose history
     the set contains with a compatible initial footprint."""
-    try:
-        initial, initial1 = _nonempty("initial", initial), _nonempty("initial1", initial1)
-    except ValueError as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, str(exc))
-    algebra = next(iter(initial1)).algebra
-    client_prog = Program(algebra, client=client, gamma=gamma, bounds=bounds)
-    try:
-        gamma.check_precise(universe)
-        client_pairs = denotation_pairs(client_prog, initial)
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, f"client: {exc}")
-    if not assume_linearizable:
-        lin = check_lin_interface_set(lib1, gamma, initial1, hset2, bounds, universe)
-        if lin.status is not Status.HOLDS_AT_BOUNDS:
-            return Verdict(Status.HYPOTHESIS_FAILED,
-                           f"linearizability hypothesis: {lin.summary}")
-    try:
-        concrete = denotation_pairs(Program(algebra, library=lib1, client=client, bounds=bounds),
-                                    star_set(initial, initial1))
-    except (UnsafeComponentError, ValueError) as exc:
-        return Verdict(Status.HYPOTHESIS_FAILED, f"composition unsafe: {exc}")
+    def reproducer(algebra, initial, client_pairs):
+        if hset2.entries:
+            _require_same_algebra(next(iter(initial)), next(iter(hset2.entries)).initial)
+        initials = _initials_by_history(hset2)
+        # the classes of the client traces whose history the set holds from a
+        # footprint compatible with the client's own
+        keys = {equivalence_key(ground(kappa)) for sigma_c, kappa in client_pairs
+                if any(foot_add(delta(sigma_c), l) is not None
+                       for l in initials.get(history_of(kappa), ()))}
+        return lambda t: equivalence_key(t) in keys
 
-    entries_by_history = _initials_by_history(hset2)
-    # the classes of the client traces whose history the set holds from a
-    # footprint compatible with the client's own
-    reproducible = {equivalence_key(ground(kappa)) for sigma_c, kappa in client_pairs
-                    if any(foot_add(delta(sigma_c), l) is not None
-                           for l in entries_by_history.get(history_of(kappa), ()))}
-    return _containment_verdict(concrete, lambda t: equivalence_key(t) in reproducible,
-                                " up to trace equivalence")
+    return _abstraction(client, gamma, initial, lib1, initial1, lambda: hset2, bounds, universe,
+                        assume_linearizable, reproducer, " up to trace equivalence")

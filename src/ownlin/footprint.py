@@ -40,7 +40,7 @@ class Footprint:
         if algebra is Algebra.RAM:
             locs = tuple(sorted(set(entries)))  # type: ignore[arg-type]
             for loc in locs:
-                if not isinstance(loc, int) or loc < 1:
+                if type(loc) is not int or loc < 1:
                     raise ValueError(f"bad location: {loc!r}")
             norm: tuple = locs
         else:

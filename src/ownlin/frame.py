@@ -30,8 +30,11 @@ from .semantics import (
 
 def extends(extended: MethodSpec, base: MethodSpec, universe: StateUniverse) -> bool:
     """Every extended pre/post state splits off a base pre/post substate."""
-    if set(extended.method_names) != set(base.method_names):
-        raise ValueError("method sets differ")
+    ext_names, base_names = set(extended.method_names), set(base.method_names)
+    if ext_names != base_names:
+        raise ValueError("method sets differ: " + ", ".join(
+            [f"{m!r} only in the extended contract" for m in sorted(ext_names - base_names)]
+            + [f"{m!r} only in the base contract" for m in sorted(base_names - ext_names)]))
     for m in base.method_names:
         for t in universe.threads:
             # both kinds are read first: a thread either contract lacks raises

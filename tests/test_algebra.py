@@ -98,6 +98,25 @@ def test_state_validation():
         ram_pi({1: (0, 0)})
 
 
+@pytest.mark.parametrize("build, arg, error, message", [
+    (ram, {True: 5}, ValueError, "bad location: True"),
+    (ram, {1: True}, TypeError, "RAM cell wants an int value, got True"),
+    (ram_pi, {True: (0, 1)}, ValueError, "bad location: True"),
+    (ram_pi, {1: (True, 1)}, TypeError, "RAM_PI cell wants an int value, got True"),
+    (ram_pi, {1: (0, True)}, TypeError, "bad permission: True"),
+    (ram_foot, [True], ValueError, "bad location: True"),
+    (ram_pi_foot, {True: Full}, ValueError, "bad location: True"),
+    (ram_pi_foot, {1: (True, 0)}, TypeError, "bad permission: True"),
+], ids=["ram-loc", "ram-value", "pi-loc", "pi-value", "pi-perm", "foot-loc", "pi-foot-loc",
+        "pi-foot-perm"])
+def test_booleans_are_not_ints(build, arg, error, message):
+    # bool subclasses int: without the check True would be the location or
+    # value 1, and a permission True would silently become 1
+    with pytest.raises(error) as exc:
+        build(arg)
+    assert str(exc.value) == message
+
+
 def test_pred_star_examples():
     p = predicate([ram({1: 0})])
     q = predicate([ram({2: 0})])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ownlin import corpus, interf, interface_set_leq, ram
+from ownlin import corpus, interf, interface_set_leq, ram, ram_pi
 from ownlin.algebra import Algebra, star_set
 from ownlin.checker import (
     Status,
@@ -12,8 +12,19 @@ from ownlin.checker import (
     check_lin_interface_set,
     inclusion_based_leq,
 )
-from ownlin.history import Kind, interface_set, is_sequential
-from ownlin.lang import Bounds, ClientProgram, Prim, Program, SKIP, library, seq, store
+from ownlin.footprint import ram_pi_foot
+from ownlin.history import BalancedHistory, Kind, call, interface_set, is_sequential, ret
+from ownlin.lang import (
+    Bounds,
+    ClientProgram,
+    MethodSpec,
+    Prim,
+    Program,
+    SKIP,
+    library,
+    seq,
+    store,
+)
 from ownlin.semantics import UnsafeComponentError, denotation_pairs
 
 from helpers import (
@@ -241,12 +252,13 @@ def test_abstraction_check_hypothesis_failures(name, spec):
 
 
 def _check_with(check, initial=corpus.CLIENT_INITIAL, initial1=corpus.MINI_INITIAL,
-                initial2=corpus.MINI_INITIAL):
+                initial2=corpus.MINI_INITIAL, hset2=None, **kwargs):
     """The verdict of ``check``, named, on the mini stack against itself, with
     the push-pop client for the abstraction checks; the abstract interface
-    set is the one from ``initial2``."""
+    set is ``hset2``, by default the one from ``initial2``."""
     lib, client = corpus.mini_stack(), corpus.push_pop_client()
-    hset2 = interf(lib, GAMMA, initial2, BOUNDS)
+    if hset2 is None:
+        hset2 = interf(lib, GAMMA, initial2, BOUNDS)
     fn, args = {
         "check_lin_code": (check_lin_code, (lib, GAMMA, initial1, lib, initial2)),
         "check_lin_interface_set": (check_lin_interface_set, (lib, GAMMA, initial1, hset2)),
@@ -255,7 +267,7 @@ def _check_with(check, initial=corpus.CLIENT_INITIAL, initial1=corpus.MINI_INITI
         "abstraction_check_spec": (abstraction_check_spec,
                                    (client, GAMMA, initial, lib, initial1, hset2)),
     }[check]
-    return fn(*args, BOUNDS, UNIVERSE)
+    return fn(*args, BOUNDS, UNIVERSE, **kwargs)
 
 
 @pytest.mark.parametrize("check,empty", [
@@ -282,6 +294,59 @@ def test_an_empty_abstract_initial_set_reproduces_nothing(check, status, prefix)
     v = _check_with(check, initial2=frozenset())
     assert v.status is status
     assert v.summary == f"{prefix}{n} behaviours not reproduced; first: {{4,5}} ()"
+
+
+PI_INITIAL = frozenset({ram_pi({})})
+# an empty history, which the client also has, and one that no RAM trace has
+PI_SPEC = interface_set([BalancedHistory(ram_pi_foot({}), ())])
+PI_SPEC_UNMATCHED = interface_set([BalancedHistory(
+    ram_pi_foot({}), (call(1, "push", ram_pi({})), ret(1, "push", ram_pi({}))))])
+
+
+@pytest.mark.parametrize("check, hset2, kwargs, summary", [
+    ("check_lin_interface_set", PI_SPEC, {}, "mixed algebras: ram vs ram_pi"),
+    ("abstraction_check_spec", PI_SPEC, {},
+     "linearizability hypothesis: mixed algebras: ram vs ram_pi"),
+    ("abstraction_check_spec", PI_SPEC, {"assume_linearizable": True},
+     "composition unsafe: mixed algebras: ram vs ram_pi"),
+    ("abstraction_check_spec", PI_SPEC_UNMATCHED, {"assume_linearizable": True},
+     "composition unsafe: mixed algebras: ram vs ram_pi"),
+    # the code variants, over a RAM_PI abstract initial set (they read no set)
+    ("check_lin_code", PI_SPEC, {}, "mixed algebras: ram_pi vs ram"),
+    ("abstraction_check_code", PI_SPEC, {},
+     "linearizability hypothesis: mixed algebras: ram_pi vs ram"),
+    ("abstraction_check_code", PI_SPEC, {"assume_linearizable": True},
+     "composition unsafe: mixed algebras: ram vs ram_pi"),
+], ids=["lin-spec", "abs-spec", "abs-spec-assumed", "abs-spec-assumed-unmatched", "lin-code",
+        "abs-code", "abs-code-assumed"])
+def test_an_abstract_side_over_another_algebra_fails_the_hypothesis(check, hset2, kwargs,
+                                                                    summary):
+    v = _check_with(check, initial2=PI_INITIAL, hset2=hset2, **kwargs)
+    assert v.status is Status.HYPOTHESIS_FAILED
+    assert v.summary == summary
+
+
+@pytest.mark.parametrize("check", ["check_lin_code", "check_lin_interface_set",
+                                   "abstraction_check_code", "abstraction_check_spec"])
+def test_each_check_checks_the_contract_once(check, monkeypatch):
+    calls = []
+    check_precise = MethodSpec.check_precise
+    monkeypatch.setattr(MethodSpec, "check_precise",
+                        lambda self, universe: calls.append(self) or check_precise(self, universe))
+    assert _check_with(check).status is Status.HOLDS_AT_BOUNDS
+    assert calls == [GAMMA]
+
+
+def test_when_both_libraries_fault_the_concrete_fault_is_reported():
+    # UNSAFE_LIB faults from every initial state: the state named is lib1's
+    empty = frozenset({ram({})})
+    for initial1, initial2, state in [(corpus.MINI_INITIAL, empty, "[4:0, 5:0]"),
+                                      (empty, corpus.MINI_INITIAL, "[]")]:
+        v = check_lin_code(UNSAFE_LIB, GAMMA, initial1, UNSAFE_LIB, initial2, SMALL, UNIVERSE)
+        assert v.summary == f"library faults at {state}"
+        v = abstraction_check_code(corpus.push_pop_client(), GAMMA, corpus.CLIENT_INITIAL,
+                                   UNSAFE_LIB, initial1, UNSAFE_LIB, initial2, SMALL, UNIVERSE)
+        assert v.summary == f"linearizability hypothesis: library faults at {state}"
 
 
 def test_verdicts_are_reproducible():

@@ -19,7 +19,7 @@ from ownlin.frame import (
     frame_check,
 )
 from ownlin.history import InterfaceAction, call, ret
-from ownlin.lang import TID, TOP, Bounds, Prim, library, store
+from ownlin.lang import TID, TOP, Bounds, Prim, library, method_spec, store
 from ownlin.semantics import (
     UnsafeComponentError,
     _history_trie,
@@ -43,6 +43,17 @@ def test_extends_reflexive_and_strict():
 def test_extends_requires_same_methods():
     with pytest.raises(ValueError):
         extends(GAMMA, corpus.gamma_trivial(), UNIVERSE)
+
+
+def test_extends_names_the_methods_only_one_contract_has():
+    push_only = method_spec({"push": (GAMMA_OBJ.pre("push"), GAMMA_OBJ.post("push"))})
+    with pytest.raises(ValueError) as exc:
+        extends(push_only, GAMMA, UNIVERSE)
+    assert str(exc.value) == "method sets differ: 'pop' only in the base contract"
+    with pytest.raises(ValueError) as exc:
+        extends(corpus.gamma_trivial(), GAMMA, UNIVERSE)
+    assert str(exc.value) == ("method sets differ: 'nop' only in the extended contract, "
+                              "'pop' only in the base contract, 'push' only in the base contract")
 
 
 def test_floor_and_ceil_split_and_recompose():

@@ -344,6 +344,16 @@ def test_cli_frame_check_universe_thread_the_contract_lacks(corpus_files, tmp_pa
         "error: the contract of method 'pop' does not cover thread 3\n"
 
 
+def test_cli_frame_check_names_a_method_the_extension_lacks(corpus_files, tmp_path, capsys):
+    ext = _extension_file(tmp_path)
+    obj = serialize.load_json(ext)
+    del obj["gamma_extended"]["pop"]
+    serialize.dump_json(obj, ext)
+    assert main(["frame-check", corpus_files["mini_slow"], corpus_files["mini"], ext]) == 2
+    assert capsys.readouterr().err == \
+        "error: method sets differ: 'pop' only in the base contract\n"
+
+
 @pytest.mark.parametrize("cells, message", [
     ({"1": "full", "01": "full"}, "duplicate location: 1"),
     ({"0": "full"}, "bad location: 0"),
