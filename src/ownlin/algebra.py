@@ -14,12 +14,13 @@ permission sums must compare exactly against 1.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Optional, Union
+
+from ._record import record
 
 
 # str mixin: a member hashes in C; spell it by ``.value``, as formatting differs by version
@@ -198,7 +199,7 @@ def state_sub(s2: State, s1: State) -> Optional[State]:
     return State._trusted(alg, rest)
 
 
-@dataclass(frozen=True)
+@record
 class Predicate:
     """A finite set of states over one algebra."""
 
@@ -247,7 +248,7 @@ def sub_pred(s: State, p: Predicate) -> Optional[tuple[State, State]]:
     return None
 
 
-@dataclass(frozen=True)
+@record
 class ParamPredicate:
     """Per-thread predicates; ``default`` covers threads with no explicit entry."""
 
@@ -268,7 +269,8 @@ class ParamPredicate:
         return ParamPredicate(
             tuple((t, predicate(fn(t), algebra)) for t in threads))
 
-@dataclass(frozen=True)
+
+@record
 class StateUniverse:
     """Finite enumeration bounds shared by all brute-force checks."""
 
@@ -313,7 +315,7 @@ def is_precise(p: Predicate | ParamPredicate, universe: StateUniverse) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class CounterExample:
     law: str
     inputs: tuple
@@ -321,7 +323,7 @@ class CounterExample:
     got: object
 
 
-@dataclass(frozen=True)
+@record
 class LawReport:
     passed: bool
     counterexamples: tuple[CounterExample, ...] = ()

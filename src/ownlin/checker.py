@@ -8,10 +8,10 @@ yield identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
+from ._record import record
 from .algebra import State, StateUniverse, _require_same_algebra, star_set
 from .footprint import Footprint, delta, foot_add, foot_leq
 from .history import History, InterfaceSet, LeqReport, interface_set_leq
@@ -41,7 +41,7 @@ EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     status: Status
     summary: str
@@ -185,6 +185,8 @@ def abstraction_check_code(client: ClientProgram, gamma: MethodSpec, initial: It
     ``assume_linearizable`` skips the linearizability hypothesis so a harness
     test can feed a known-bad pair and watch the containment check fire.
     """
+    initial2 = frozenset(initial2)  # read twice: by the hypothesis and by the composition
+
     def reproducer(algebra, initial, client_pairs):
         abstract = denotation_pairs(Program(algebra, library=lib2, client=client, bounds=bounds),
                                     star_set(initial, initial2))

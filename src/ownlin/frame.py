@@ -9,9 +9,9 @@ extended one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import record
 from .algebra import State, StateUniverse, star, star_set, state_sub, sub_pred
 from .checker import Status
 from .history import History, InterfaceAction, Kind, LeqReport, interface_set_leq
@@ -105,7 +105,7 @@ def _extra_step(cur: State, a: InterfaceAction) -> Optional[State]:
     return state_sub(cur, a.transferred)
 
 
-@dataclass(frozen=True)
+@record
 class Hypothesis4Witness:
     initial_base: State
     initial_extra: State
@@ -114,7 +114,7 @@ class Hypothesis4Witness:
     failing_index: int
 
 
-@dataclass(frozen=True)
+@record
 class FrameReport:
     status: Status
     extends_ok: bool

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+from ._record import record
 from .algebra import State, _require_same_algebra
 from .footprint import Footprint, delta, foot_add, foot_leq, foot_sub
 
@@ -158,7 +159,7 @@ def is_sequential(h: Sequence[InterfaceAction]) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinWitness:
     """Index bijection (0-based) establishing one history linearized by another."""
 
@@ -215,7 +216,7 @@ def check_witness(h: Sequence[InterfaceAction], h2: Sequence[InterfaceAction],
     return True
 
 
-@dataclass(frozen=True)
+@record
 class BalancedHistory:
     """A history together with an initial footprint it is balanced from."""
 
@@ -259,7 +260,7 @@ def balanced_linearized_by(b1: BalancedHistory, b2: BalancedHistory) -> bool:
             and linearized_by(b1.history, b2.history) is not None)
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceSet:
     entries: frozenset[BalancedHistory]
 
@@ -279,6 +280,8 @@ def interface_set(entries: Iterable[BalancedHistory]) -> InterfaceSet:
     return InterfaceSet(frozenset(entries))
 
 
+# The two report classes stay dataclasses, not records: ``bench/test_checks.py``
+# builds corrupted reports with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class LeqEntry:
     entry: BalancedHistory

@@ -11,9 +11,9 @@ up to the length cap, serve as oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Union
 
+from ._record import record
 from .algebra import (
     Algebra,
     Recorder,
@@ -33,7 +33,7 @@ from .history import InterfaceAction, Kind
 # expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class IntLit:
     value: int
 
@@ -42,28 +42,28 @@ class IntLit:
             raise TypeError(f"not an integer literal: {self.value!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Tid:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Deref:
     addr: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Add:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Neg:
     operand: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Not:
     operand: "Expr"
 
@@ -134,18 +134,18 @@ def expr_eval(e: Expr, s: State, t: int) -> int | Top:
 # primitive commands and their transformers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class Skip:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Store:
     addr: Expr
     value: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assume:
     cond: Expr
 
@@ -259,29 +259,29 @@ def validate_transformer(c: PrimCommand | Transformer, universe: StateUniverse,
 # commands, libraries, clients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class Prim:
     command: PrimCommand
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CallMethod:
     method: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seq:
     first: "Command"
     second: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Choice:
     left: "Command"
     right: "Command"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Star:
     body: "Command"
 
@@ -332,7 +332,7 @@ def _contains_call(c: Command) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@record
 class Library:
     """Method name to body; nested method calls are disallowed."""
 
@@ -358,14 +358,14 @@ def library(methods: Mapping[str, Command]) -> Library:
     return Library(tuple(sorted(methods.items())))
 
 
-@dataclass(frozen=True)
+@record
 class ClientProgram:
     """Thread t runs ``threads[t-1]``."""
 
     threads: tuple[Command, ...]
 
 
-@dataclass(frozen=True)
+@record
 class MethodSpec:
     """Pre/post ownership-transfer contracts, one per method."""
 
@@ -412,21 +412,21 @@ def method_spec(triples: Mapping[str, tuple[ParamPredicate, ParamPredicate]]) ->
 # actions and traces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@record
 class CmdAction:
     thread: int
     command: PrimCommand
     kind: ClassVar[None] = None  # not an interface action
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PlainCall:
     thread: int
     method: str
     kind: ClassVar[Kind] = Kind.CALL
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PlainRet:
     thread: int
     method: str
@@ -445,7 +445,7 @@ def is_interface(a: Action) -> bool:
     return a.kind is not None
 
 
-@dataclass(frozen=True)
+@record
 class Bounds:
     """Enumeration bounds: iteration unrolling, most-general-client size,
     and the interleaving length cap.  Raising any bound grows the trace set."""
@@ -464,7 +464,7 @@ class Bounds:
                 raise ValueError(f"bound {name} must be at least {least}, got {value}")
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """A complete program, an open library, or an open client.
 

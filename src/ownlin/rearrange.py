@@ -17,9 +17,9 @@ implementation bug, never an input problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from ._record import record
 from .algebra import State
 from .footprint import Footprint, delta, foot_leq
 from .history import (
@@ -35,20 +35,20 @@ from .lang import Bounds, ClientProgram, Library, MethodSpec, Trace, is_interfac
 from .semantics import client_trace_member, equivalence_key, history_of, library_trace_member
 
 
-@dataclass(frozen=True)
+@record
 class SwapStep:
     position: int
     rule: str
 
 
-@dataclass(frozen=True)
+@record
 class StageRecord:
     stage: int
     prefix_len: int
     swaps: tuple[SwapStep, ...]
 
 
-@dataclass(frozen=True)
+@record
 class RearrangeLog:
     stages: tuple[StageRecord, ...]
 

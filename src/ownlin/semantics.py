@@ -15,10 +15,10 @@ Infeasible branches (a false assume) simply produce no outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Collection, Iterable, Iterator, Union
 
+from ._record import record
 from .algebra import LawReport, Recorder, State, star, star_set, sub_pred
 from .footprint import delta
 from .history import (
@@ -51,17 +51,17 @@ from .lang import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class Complete:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class LibraryLocal:
     gamma: MethodSpec
 
 
-@dataclass(frozen=True)
+@record
 class ClientLocal:
     gamma: MethodSpec
 
@@ -104,7 +104,7 @@ def eval_action(mode: Mode, action, s: State):
     return ((rest, InterfaceAction(action.thread, action.kind, action.method, piece)),)
 
 
-@dataclass(frozen=True)
+@record
 class EvalResult:
     faulted: bool
     outcomes: frozenset[tuple[State, Trace]]
@@ -129,7 +129,7 @@ def eval_trace(mode: Mode, tau: Trace, s: State) -> EvalResult:
     return EvalResult(False, frozenset(current))
 
 
-@dataclass(frozen=True)
+@record
 class Denotation:
     """All annotated traces of a component from one initial state."""
 

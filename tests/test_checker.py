@@ -13,6 +13,7 @@ from ownlin.checker import (
     inclusion_based_leq,
 )
 from ownlin.footprint import ram_pi_foot
+from ownlin.frame import frame_check
 from ownlin.history import BalancedHistory, Kind, call, interface_set, is_sequential, ret
 from ownlin.lang import (
     Bounds,
@@ -25,7 +26,7 @@ from ownlin.lang import (
     seq,
     store,
 )
-from ownlin.semantics import UnsafeComponentError, denotation_pairs
+from ownlin.semantics import UnsafeComponentError, compose_decompose_check, denotation_pairs
 
 from helpers import (
     RANDOM_LIB_BOUNDS,
@@ -405,3 +406,41 @@ def test_abstraction_check_spec_first_miss_ignores_hash_seed():
         out.append(r.stdout)
     assert out[0].startswith("violated")
     assert out[0] == out[1]
+
+
+_MINI, _SLOW, _CLIENT = corpus.mini_stack(), corpus.mini_stack_slow(), corpus.push_pop_client()
+_SMALL = Bounds(1, 2, 2, 9)
+# each public check with frozenset state sets; every frozenset argument is a state set
+ONE_SHOT_CALLS = {
+    "check_lin_code": (check_lin_code, dict(
+        lib1=_SLOW, gamma=GAMMA, initial1=corpus.MINI_INITIAL, lib2=_MINI,
+        initial2=corpus.MINI_INITIAL, bounds=_SMALL)),
+    "check_lin_interface_set": (check_lin_interface_set, dict(
+        lib1=_SLOW, gamma=GAMMA, initial1=corpus.MINI_INITIAL,
+        hset2=interf(_MINI, GAMMA, corpus.MINI_INITIAL, _SMALL), bounds=_SMALL)),
+    "abstraction_check_code": (abstraction_check_code, dict(
+        client=_CLIENT, gamma=GAMMA, initial=corpus.CLIENT_INITIAL, lib1=_SLOW,
+        initial1=corpus.MINI_INITIAL, lib2=_MINI, initial2=corpus.MINI_INITIAL, bounds=_SMALL)),
+    "abstraction_check_spec": (abstraction_check_spec, dict(
+        client=_CLIENT, gamma=GAMMA, initial=corpus.CLIENT_INITIAL, lib1=_SLOW,
+        initial1=corpus.MINI_INITIAL,
+        hset2=interf(_MINI, GAMMA, corpus.MINI_INITIAL, _SMALL), bounds=_SMALL)),
+    "frame_check": (frame_check, dict(
+        lib1=_SLOW, lib2=_MINI, gamma=GAMMA, gamma_ext=corpus.gamma_obj(),
+        initial1=corpus.MINI_INITIAL, initial2=corpus.MINI_INITIAL,
+        initial_extra=corpus.EXTRA_INITIAL_EMPTY, bounds=_SMALL, universe=UNIVERSE)),
+    "compose_decompose_check": (compose_decompose_check, dict(
+        client=_CLIENT, lib=_MINI, gamma=GAMMA, initial_client=corpus.CLIENT_INITIAL,
+        initial_lib=corpus.MINI_INITIAL, bounds=_SMALL)),
+    "interf": (interf, dict(lib=_MINI, gamma=GAMMA, initial=corpus.MINI_INITIAL, bounds=_SMALL)),
+}
+_ONE_SHOT_CASES = [(name, arg) for name, (_, kwargs) in ONE_SHOT_CALLS.items()
+                   for arg, value in kwargs.items() if isinstance(value, frozenset)]
+
+
+@pytest.mark.parametrize("name,arg", _ONE_SHOT_CASES,
+                         ids=[f"{name}-{arg}" for name, arg in _ONE_SHOT_CASES])
+def test_a_one_shot_state_set_gives_the_frozenset_verdict(name, arg):
+    check, kwargs = ONE_SHOT_CALLS[name]
+    want = check(**kwargs)
+    assert check(**dict(kwargs, **{arg: iter(kwargs[arg])})) == want
